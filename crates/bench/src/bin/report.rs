@@ -15,7 +15,8 @@
 //!
 //! `--bench-json` instead runs the simulator hot-path scenarios with a
 //! wall-clock harness and writes a machine-readable perf snapshot
-//! (per-bench median ns and simulated instructions per host second) so
+//! (per-bench median ns and simulated instructions per host second, plus
+//! a `host` block naming the core count, CPU model and rustc version) so
 //! successive PRs have a throughput trajectory to compare against.
 //!
 //! `--obs-snapshot` writes the deterministic observability snapshot the
@@ -533,6 +534,34 @@ mod perf_snapshot {
             .unwrap_or_else(|| "unknown".to_owned())
     }
 
+    /// The machine a snapshot ran on: core count, CPU model and the
+    /// toolchain, so BENCH files measured on different boxes are never
+    /// compared as if they were one (fields read `unknown` where the
+    /// platform does not say).
+    fn host() -> serde_json::Value {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_owned())
+            })
+            .unwrap_or_else(|| "unknown".to_owned());
+        let rustc = std::process::Command::new(std::env::var("RUSTC").unwrap_or("rustc".into()))
+            .arg("--version")
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
+        serde_json::json!({
+            "nproc": std::thread::available_parallelism().map_or(1, usize::from),
+            "cpu_model": cpu_model,
+            "rustc": rustc,
+        })
+    }
+
     #[allow(clippy::cast_precision_loss)]
     pub fn run(path: &str, samples: usize) {
         use dpu_sim::Engine;
@@ -581,6 +610,7 @@ mod perf_snapshot {
             "samples": samples as u64,
             "git_sha": git_sha(),
             "build_profile": if cfg!(debug_assertions) { "debug" } else { "release" },
+            "host": host(),
             "benches": serde_json::Value::Object(benches.into_iter().collect()),
         });
         let text = serde_json::to_string_pretty(&doc).expect("serializable");

@@ -62,12 +62,12 @@ pub use error::{Error, Result};
 pub use exec::ExecProgram;
 pub use faults::{AttemptFaults, FaultConfig, FaultKind, FaultPlan, InjectedFault};
 pub use isa::{Instr, Program, Reg};
-pub use machine::{Engine, IntegrityCounters, Machine, MachineSnapshot, RunResult};
+pub use machine::{Engine, EnginePaths, IntegrityCounters, Machine, MachineSnapshot, RunResult};
 pub use memory::{
     CowMemory, DmaEngine, MemorySnapshot, Mram, ScrubReport, Scrubber, Wram, MRAM_PAGE_BYTES,
 };
 pub use params::DpuParams;
-pub use pipeline::Pipeline;
+pub use pipeline::{Period, Pipeline};
 pub use profiler::{BlockCycles, CycleAttribution, Profiler, SubroutineCycles};
 pub use subroutines::Subroutine;
 pub use system::{DpuId, MramResidency, PimSystem, Rank};

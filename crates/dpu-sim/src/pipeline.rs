@@ -193,12 +193,6 @@ impl Pipeline {
         self.next_ready[t].max(self.cycle)
     }
 
-    /// Round-robin cursor: the tasklet probed first on the next `pick`.
-    #[must_use]
-    pub(crate) fn rr_cursor(&self) -> usize {
-        self.rr_cursor
-    }
-
     /// Issue one instruction for tasklet `t`, known by the caller to be the
     /// *sole* runnable tasklet.
     ///
@@ -233,52 +227,90 @@ impl Pipeline {
         self.rr_cursor = if t + 1 == n { 0 } else { t + 1 };
     }
 
-    /// Issue `rounds >= 1` full rotations over `order` — the runnable
-    /// tasklets in round-robin probe order starting at the current cursor —
-    /// in one step. See [`Pipeline::advance_rotation`] for the general
-    /// (mid-rotation) form and its preconditions.
-    pub fn advance_rounds(&mut self, order: &[usize], rounds: u64) {
-        debug_assert!(rounds >= 1);
-        self.advance_rotation(order, rounds * order.len() as u64);
+    /// Find the periodic schedule of the `near` tasklets (ascending), if
+    /// the next round of picks repeats forever.
+    ///
+    /// Simulates `near.len()` picks of [`Pipeline::pick_from`] over `near`
+    /// without touching `self`, and succeeds when each near tasklet issued
+    /// exactly once, the round-robin cursor came back to where it started
+    /// and every near tasklet's ready time, clamped to the clock, sits at
+    /// the same offset from the clock as before the round. The pick rule
+    /// reads only those clamped offsets and the cursor, so the following
+    /// round then repeats this one shifted by [`Period::cycles`], and so
+    /// on by induction — which is what lets [`Pipeline::replay_period`]
+    /// commit any number of rounds in closed form.
+    ///
+    /// One check covers saturated round-robin order, the permuted orders
+    /// of more than `stages` tasklets with staggered ready times, and
+    /// unsaturated sets (whose period is `stages`). The rounds stand for
+    /// [`Pipeline::pick_from`] over a larger active set only while every
+    /// pick issues before the other tasklets' earliest ready time — see
+    /// [`Period::max_rounds`].
+    pub fn find_period(&self, near: &[usize], period: &mut Period) -> bool {
+        let n = self.next_ready.len();
+        if near.is_empty() || n > 64 {
+            return false;
+        }
+        period.order.clear();
+        period.issue.clear();
+        period.ready.clear();
+        period.ready.extend_from_slice(&self.next_ready);
+        let ready = &mut period.ready;
+        let mut cycle = self.cycle;
+        let mut cursor = self.rr_cursor;
+        let mut seen: u64 = 0;
+        for _ in 0..near.len() {
+            let split = near.partition_point(|&t| t < cursor);
+            let mut best: Option<(u64, usize)> = None;
+            for &t in near[split..].iter().chain(&near[..split]) {
+                let issue_at = ready[t].max(cycle);
+                if issue_at == cycle {
+                    best = Some((issue_at, t));
+                    break;
+                }
+                if best.is_none_or(|(b, _)| issue_at < b) {
+                    best = Some((issue_at, t));
+                }
+            }
+            let (x, t) = best.expect("near is non-empty");
+            if seen & (1 << t) != 0 {
+                return false;
+            }
+            seen |= 1 << t;
+            cycle = x + 1;
+            ready[t] = x + self.stages;
+            cursor = if t + 1 == n { 0 } else { t + 1 };
+            period.order.push(t);
+            period.issue.push(x);
+        }
+        period.cycles = cycle - self.cycle;
+        cursor == self.rr_cursor
+            && near.iter().all(|&t| {
+                ready[t].max(cycle) - cycle == self.next_ready[t].max(self.cycle) - self.cycle
+            })
     }
 
-    /// Issue `slots >= 1` consecutive picks over `order` — the runnable
-    /// tasklets in round-robin probe order starting at the current cursor —
-    /// in one step, possibly stopping mid-rotation.
+    /// Commit `rounds >= 1` rounds of `period` (found by
+    /// [`Pipeline::find_period`] on the current state) in one step.
     ///
-    /// Exactly equivalent to `slots` successive `pick`s *provided* the
-    /// caller has verified the saturation precondition: `order.len() >=
-    /// stages` and `next_ready[order[p]] <= cycle + p` for every position
-    /// `p`. Then pick number `m` (0-based) issues `order[m % len]` at
-    /// `cycle + m` with zero idle slots — each tasklet issues once per
-    /// rotation of `order.len()` cycles (>= `stages`, so its own spacing
-    /// never binds), the first-fit probe always lands on the next tasklet
-    /// in cyclic order, and the round-robin cursor ends after the last
-    /// issuer.
-    pub fn advance_rotation(&mut self, order: &[usize], slots: u64) {
-        let r = order.len() as u64;
-        debug_assert!(slots >= 1);
-        debug_assert!(r >= self.stages, "rotation must cover the pipeline depth");
-        let base = self.cycle;
-        let full_rounds = slots / r;
-        let rem = (slots % r) as usize;
-        for (p, &t) in order.iter().enumerate() {
-            debug_assert!(
-                self.next_ready[t] <= base + p as u64,
-                "tasklet {t} not ready at its slot"
-            );
-            let issues = full_rounds + u64::from(p < rem);
-            if issues > 0 {
-                self.next_ready[t] = base + (issues - 1) * r + p as u64 + self.stages;
-                self.issued_per_tasklet[t] += issues;
-            }
+    /// Exactly equivalent to `rounds * period.order().len()` successive
+    /// [`Pipeline::pick_from`] calls over the active set, provided
+    /// `rounds <= period.max_rounds(..)` for that set's wake time and the
+    /// budget in force.
+    pub fn replay_period(&mut self, period: &Period, rounds: u64) {
+        debug_assert!(rounds >= 1);
+        let shift = (rounds - 1) * period.cycles;
+        for (&t, &x) in period.order.iter().zip(&period.issue) {
+            self.next_ready[t] = x + shift + self.stages;
+            self.issued_per_tasklet[t] += rounds;
         }
-        self.issued += slots;
-        self.last_issue = base + slots - 1;
+        let picks = period.order.len() as u64;
+        self.issued += rounds * picks;
+        self.idle_cycles += rounds * (period.cycles - picks);
+        self.last_issue = period.issue[period.issue.len() - 1] + shift;
         self.cycle = self.last_issue + 1;
-        let n = self.next_ready.len();
-        let last = order[((slots - 1) % r) as usize];
-        self.rr_cursor = if last + 1 == n { 0 } else { last + 1 };
+        let last = period.order[period.order.len() - 1];
+        self.rr_cursor = if last + 1 == self.next_ready.len() { 0 } else { last + 1 };
     }
 
     /// [`Pipeline::pick`] restricted to a caller-maintained ascending list
@@ -321,6 +353,57 @@ impl Pipeline {
         }
         let (issue_at, t) = best?;
         Some(self.commit(issue_at, t, n))
+    }
+}
+
+/// One round of a periodic issue schedule, found by
+/// [`Pipeline::find_period`] and committed by [`Pipeline::replay_period`].
+///
+/// Holds its buffers across searches, so a caller that keeps one around
+/// allocates once.
+#[derive(Debug, Clone, Default)]
+pub struct Period {
+    /// Tasklets in pick order within one round; each appears once.
+    order: Vec<usize>,
+    /// Issue cycle of each pick of the first round, parallel to `order`.
+    issue: Vec<u64>,
+    /// Cycles one round advances the clock by.
+    cycles: u64,
+    /// Scratch ready times of the simulated round.
+    ready: Vec<u64>,
+}
+
+impl Period {
+    /// The tasklets in the order one round picks them.
+    #[must_use]
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// Cycles one round advances the clock by (at least one per pick).
+    #[must_use]
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// The most rounds that may be replayed with every pick issuing
+    /// strictly before `wake` — the earliest ready time of the tasklets
+    /// left out of the round, which would otherwise join the schedule —
+    /// and passing the reference loop's per-pick budget check
+    /// (`issue + stages <= budget`). Issue cycles only grow, so bounding
+    /// the last pick of the last round bounds them all.
+    #[must_use]
+    pub fn max_rounds(&self, stages: u64, budget: u64, wake: u64) -> u64 {
+        let Some(&last) = self.issue.last() else { return 0 };
+        if wake == 0 || budget < stages {
+            return 0;
+        }
+        let limit = (wake - 1).min(budget - stages);
+        if last > limit {
+            0
+        } else {
+            (limit - last) / self.cycles + 1
+        }
     }
 }
 
@@ -511,54 +594,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn advance_rounds_matches_repeated_picks_at_saturation() {
-        // 13 runnable of 16 tasklets (>= 11 stages) with two disabled in
-        // the middle; warm up one rotation so ready times are staggered,
-        // then compare r rounds of picks against one advance_rounds.
-        let tasklets = 16usize;
-        let mut runnable = vec![true; tasklets];
-        runnable[4] = false;
-        runnable[9] = false;
-        runnable[15] = false;
-        let mut a = Pipeline::new(tasklets);
-        let mut b = Pipeline::new(tasklets);
-        let live: Vec<usize> = (0..tasklets).filter(|&t| runnable[t]).collect();
-        for _ in 0..live.len() {
-            a.pick(&runnable).unwrap();
-            b.pick(&runnable).unwrap();
+    /// Commit `rounds` rounds of `near` on `b` via period replay and the
+    /// same picks one by one on `a`; both must agree exactly.
+    fn replay_matches_picks(a: &mut Pipeline, b: &mut Pipeline, near: &[usize], rounds: u64) {
+        let mut period = Period::default();
+        assert!(b.find_period(near, &mut period), "state should be periodic");
+        assert!(period.max_rounds(b.stages(), u64::MAX, u64::MAX) >= rounds);
+        for _ in 0..rounds * near.len() as u64 {
+            a.pick_from(near).unwrap();
         }
-        assert_eq!(a, b);
-        // Build probe order from the current cursor.
-        let cursor = b.rr_cursor();
-        let order: Vec<usize> =
-            (cursor..tasklets).chain(0..cursor).filter(|&t| runnable[t]).collect();
-        for rounds in [1u64, 2, 9] {
-            for _ in 0..rounds * order.len() as u64 {
-                a.pick(&runnable).unwrap();
-            }
-            b.advance_rounds(&order, rounds);
-            assert_eq!(a, b, "rounds={rounds}");
+        b.replay_period(&period, rounds);
+        assert_eq!(a, b, "rounds={rounds}");
+    }
+
+    #[test]
+    fn period_replay_matches_repeated_picks_at_saturation() {
+        // 13 runnable of 16 tasklets (>= 11 stages) with three disabled;
+        // after one warm-up round the ready times are staggered and the
+        // schedule is periodic.
+        let tasklets = 16usize;
+        let near: Vec<usize> = (0..tasklets).filter(|&t| ![4, 9, 15].contains(&t)).collect();
+        let mut a = Pipeline::new(tasklets);
+        for _ in 0..near.len() {
+            a.pick_from(&near).unwrap();
+        }
+        let mut b = a.clone();
+        for rounds in [1u64, 2, 9, 4096] {
+            replay_matches_picks(&mut a, &mut b, &near, rounds);
         }
     }
 
     #[test]
-    fn long_whole_round_rotations_match_repeated_picks() {
-        // The compiled tier's lockstep replication flushes thousands of
-        // whole rounds through a single `advance_rotation` call; the state
-        // must stay bit-identical to the equivalent pick-by-pick schedule.
-        let tasklets = 11usize;
-        let runnable = vec![true; tasklets];
-        let mut a = Pipeline::new(tasklets);
-        let mut b = Pipeline::new(tasklets);
-        let order: Vec<usize> = (0..tasklets).collect();
-        let slots = 4096 * tasklets as u64;
-        for _ in 0..slots {
-            a.pick(&runnable).unwrap();
+    fn period_replay_covers_unsaturated_sets() {
+        // Five tasklets leave six idle slots per 11-cycle round.
+        let near = [1usize, 3, 5, 7, 9];
+        let mut a = Pipeline::new(16);
+        for _ in 0..near.len() {
+            a.pick_from(&near).unwrap();
         }
-        b.advance_rotation(&order, slots);
-        assert_eq!(a, b);
-        assert_eq!(b.issued(), slots);
+        let mut b = a.clone();
+        let mut period = Period::default();
+        assert!(b.find_period(&near, &mut period));
+        assert_eq!(period.cycles(), 11);
+        replay_matches_picks(&mut a, &mut b, &near, 37);
+        assert_eq!(b.idle_cycles(), a.idle_cycles());
+    }
+
+    #[test]
+    fn fresh_start_is_not_yet_periodic() {
+        // Every ready time is 0 at launch; after one round they are
+        // staggered, so the first round does not repeat.
+        let p = Pipeline::new(11);
+        let near: Vec<usize> = (0..11).collect();
+        let mut period = Period::default();
+        assert!(!p.find_period(&near, &mut period));
+    }
+
+    #[test]
+    fn max_rounds_respects_wake_and_budget() {
+        let near: Vec<usize> = (0..11).collect();
+        let mut p = Pipeline::new(11);
+        for _ in 0..11 {
+            p.pick_from(&near).unwrap();
+        }
+        let mut period = Period::default();
+        assert!(p.find_period(&near, &mut period));
+        // Round r's last pick issues at 21 + 11r.
+        assert_eq!(period.max_rounds(11, u64::MAX, 22), 1);
+        assert_eq!(period.max_rounds(11, u64::MAX, 21), 0);
+        assert_eq!(period.max_rounds(11, 21 + 11 + 11, u64::MAX), 2);
+        assert_eq!(period.max_rounds(11, 21 + 11 + 10, u64::MAX), 1);
     }
 
     #[test]
@@ -611,6 +716,56 @@ mod fairness_tests {
             }
             let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
             prop_assert!(max - min <= 1, "counts {counts:?}");
+        }
+
+        /// Period replay is exactly the picks it stands for: over random
+        /// ready times (staggered by stalls), cursors and active sets,
+        /// whenever `find_period` succeeds, replaying any admissible
+        /// number of rounds leaves the pipeline `==` the same number of
+        /// `pick_from` calls over the whole active set, including the
+        /// far tasklets the rounds leave out.
+        #[test]
+        fn period_replay_equals_pick_from(
+            tasklets in 2usize..24,
+            mask in any::<u32>(),
+            warm in 0usize..40,
+            stalls in prop::collection::vec((0usize..24, 11u64..400), 0..4),
+            rounds in 1u64..64,
+        ) {
+            let active: Vec<usize> = (0..tasklets).filter(|&t| mask >> t & 1 == 1).collect();
+            if active.is_empty() {
+                return Ok(());
+            }
+            let mut p = Pipeline::new(tasklets);
+            for i in 0..warm {
+                let t = p.pick_from(&active).unwrap();
+                if let Some(&(_, stall)) = stalls.iter().find(|&&(s, _)| s == i) {
+                    p.stall(t, stall);
+                }
+            }
+            let now = p.current_cycle();
+            let near: Vec<usize> =
+                active.iter().copied().filter(|&t| p.next_ready_of(t) < now + 11).collect();
+            let wake = active
+                .iter()
+                .map(|&t| p.next_ready_of(t))
+                .filter(|&r| r >= now + 11)
+                .min()
+                .unwrap_or(u64::MAX);
+            let mut period = Period::default();
+            if near.is_empty() || !p.find_period(&near, &mut period) {
+                return Ok(());
+            }
+            let rounds = rounds.min(period.max_rounds(11, u64::MAX, wake));
+            if rounds == 0 {
+                return Ok(());
+            }
+            let mut picked = p.clone();
+            for _ in 0..rounds * near.len() as u64 {
+                picked.pick_from(&active).unwrap();
+            }
+            p.replay_period(&period, rounds);
+            prop_assert_eq!(p, picked);
         }
 
         /// Elapsed time is never less than either the issue bound or the
