@@ -49,7 +49,7 @@ pub use error::{HostError, Result};
 pub use exec::KernelRun;
 pub use launch::{LaunchResult, StealStats};
 pub use link::{LinkFaultPlan, LinkPolicy, LinkStats};
-pub use observe::LaunchObservation;
+pub use observe::{engine_path_counters, LaunchObservation};
 pub use resilient::{DpuServeReport, LaunchReport, Redispatch, ResilientLaunchPolicy, ServeHealth};
 pub use set::{DpuSet, TransferStats};
 pub use snapshot::{RankSnapshot, SetSnapshot};
