@@ -2,40 +2,50 @@
 //! fallback.
 //!
 //! [`CompiledProgram`] translates the superblock decomposition of a
-//! decoded program into *threaded code*: one pre-bound Rust closure per
-//! block ([`CompiledBlock`]) that applies the block's register effects
-//! with no per-instruction fetch, decode or classify, plus a compiled
-//! [`Term`]inator whose control-flow targets are resolved to block ids at
-//! compile time, so hot chains of blocks execute back to back without
-//! returning to the interpreter's dispatch loop. Issue-slot counts and
-//! the opcode histogram are folded per block entry, the way
-//! [`crate::exec::BlockMeta`] already memoizes them for the superblock
-//! engine.
+//! decoded program into *threaded code*: one [`CompiledBlock`] per
+//! superblock head, whose body runs from the head through every
+//! following register-only op **and WRAM load/store** up to the next
+//! control-flow instruction, boundary op or static branch target. The
+//! register-only runs between accesses are pre-bound Rust closures
+//! (a block's head run, then one `Step` per access) with no
+//! per-instruction fetch, decode or classify; each access (`Access`)
+//! is executed by the engine, which owns WRAM and the window conflict
+//! tags. A compiled [`Term`]inator, whose control-flow targets are
+//! resolved to block ids at compile time, links blocks so hot chains
+//! execute back to back without returning to the interpreter's dispatch
+//! loop. Issue-slot counts and the opcode histogram are folded per block
+//! entry.
 //!
 //! Everything the compiled universe cannot express **deoptimizes**: a
-//! chain exits with the tasklet's pc parked on the first uncompiled
-//! instruction and the superblock engine resumes as if the chain had been
-//! interpreted slot by slot. Deopt points are:
+//! chain exits with the tasklet's pc parked on the first instruction it
+//! did not execute and the superblock engine resumes as if the chain had
+//! been interpreted slot by slot. Deopt points are:
 //!
 //! * **cold blocks** — heads the compile filter skipped (see
 //!   [`CompiledProgram::compile_hot`]);
-//! * **side exits** — any boundary instruction after a block: loads and
-//!   stores, DMA, `trace`, subroutine calls, perfcounter ops, `halt`;
+//! * **side exits** — the boundary instructions that end a body and are
+//!   not control flow: DMA, `trace`, subroutine calls, perfcounter ops,
+//!   `halt`;
 //! * **synchronization** — mutex and barrier instructions;
 //! * **computed jumps** (`jr`) whose runtime target is not a compiled
 //!   block head (mid-block entries resume via the suffix interpreter);
 //! * **budget exhaustion** — the engine caps every chain so the cycle
 //!   budget check stays slot-exact;
+//! * **accesses the chain may not run** — an access that would fault, a
+//!   window access that conflicts with another tasklet's, and a store
+//!   where stores are barred (replicated lockstep chains, or windows
+//!   after a conflict); the chain parks on the access and the per-slot
+//!   path surfaces the fault or conflict at its exact slot;
 //! * **armed faults, traced and profiled runs** — the interpreter never
 //!   enters compiled code at all (see `Machine::run_code`).
 //!
 //! The interpreter therefore remains the semantic source of truth; the
 //! compiled tier is observationally invisible by construction and pinned
 //! bit-for-bit by the `compiled_identity` / `superblock_identity` /
-//! `profiled_identity` suites.
+//! `profiled_identity` suites and the window edge tests.
 
-use crate::exec::{ExecInstr, Superblocks};
-use crate::isa::{Cond, Instr, Reg};
+use crate::exec::{is_superblock_op, ExecInstr, Superblocks};
+use crate::isa::{Cond, Instr, Reg, Width};
 use crate::params::REGS_PER_TASKLET;
 use crate::profiler::CycleAttribution;
 use std::fmt;
@@ -109,15 +119,75 @@ pub enum Term {
     },
 }
 
-/// One compiled superblock: threaded-code body, compiled terminator, and
-/// the accounting the engine folds once per entry.
+/// A WRAM access inside a block body, with its operands pre-decoded.
+/// The engine executes it: it needs WRAM, and inside a window the
+/// conflict tags and the undo log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// `rd <- wram[ra + off]`, zero-extended from `width`.
+    Load {
+        /// Access width.
+        width: Width,
+        /// Destination register.
+        rd: Reg,
+        /// Base address register.
+        ra: Reg,
+        /// Byte offset added to the base.
+        off: i32,
+    },
+    /// `wram[ra + off] <- rs` (the low `width` bytes).
+    Store {
+        /// Access width.
+        width: Width,
+        /// Base address register.
+        ra: Reg,
+        /// Byte offset added to the base.
+        off: i32,
+        /// Source register.
+        rs: Reg,
+    },
+}
+
+/// One WRAM access of a block body and the run of register-only ops
+/// after it (up to the next access or the end of the body), fused into
+/// one closure.
+pub(crate) struct Step {
+    access: Access,
+    len: u32,
+    ops: BlockFn,
+}
+
+impl Step {
+    /// The access that opens the step (one issue slot).
+    pub(crate) fn access(&self) -> Access {
+        self.access
+    }
+
+    /// Register-only ops in the run after the access (one issue slot
+    /// each).
+    pub(crate) fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// Apply the run's register effects for tasklet `t`.
+    #[inline]
+    pub(crate) fn run(&self, regs: &mut Regs, t: u32) {
+        (self.ops)(regs, t);
+    }
+}
+
+/// One compiled block: threaded-code body, compiled terminator, and the
+/// accounting the engine folds once per entry. The body is a *head* run
+/// of register-only ops, then one `Step` per WRAM access.
 pub struct CompiledBlock {
     start: u32,
+    head_len: u32,
     body_len: u32,
     slots: u32,
     op_counts: Vec<(u8, u32)>,
     tasklet_sensitive: bool,
-    body: BlockFn,
+    head: BlockFn,
+    steps: Vec<Step>,
     term: Term,
 }
 
@@ -128,7 +198,13 @@ impl CompiledBlock {
         self.start
     }
 
-    /// Instructions in the straight-line body.
+    /// Register-only ops before the body's first access (the whole body
+    /// when it has no access).
+    pub(crate) fn head_len(&self) -> u32 {
+        self.head_len
+    }
+
+    /// Instructions in the straight-line body, accesses included.
     #[must_use]
     pub fn body_len(&self) -> u32 {
         self.body_len
@@ -161,10 +237,16 @@ impl CompiledBlock {
         &self.term
     }
 
-    /// Apply the body's register effects for tasklet `t`.
+    /// Apply the head run's register effects for tasklet `t`.
     #[inline]
-    pub fn run(&self, regs: &mut Regs, t: u32) {
-        (self.body)(regs, t);
+    pub(crate) fn run_head(&self, regs: &mut Regs, t: u32) {
+        (self.head)(regs, t);
+    }
+
+    /// The body after the head run: one step per WRAM access, in program
+    /// order.
+    pub(crate) fn steps(&self) -> &[Step] {
+        &self.steps
     }
 }
 
@@ -174,6 +256,7 @@ impl fmt::Debug for CompiledBlock {
             .field("start", &self.start)
             .field("body_len", &self.body_len)
             .field("slots", &self.slots)
+            .field("accesses", &self.steps.len())
             .field("term", &self.term)
             .finish_non_exhaustive()
     }
@@ -217,46 +300,90 @@ impl CompiledProgram {
     /// [`CompiledProgram::compile_hot`]; the identity suites also use it
     /// directly to force a deopt at every possible side-exit by
     /// compiling arbitrary block subsets.
+    ///
+    /// A block's body runs from its head through register-only ops and
+    /// WRAM accesses alike, so it may cover later superblocks (including
+    /// ones `keep` rejected); it stops before the next static branch
+    /// target, so every block entry is still a superblock head.
     pub fn compile_filtered(
         code: &[ExecInstr],
         sb: &Superblocks,
         mut keep: impl FnMut(u32) -> bool,
     ) -> Self {
         let mut block_of = vec![NO_BLOCK; code.len()];
-        let metas: Vec<_> = sb.blocks().iter().filter(|m| keep(m.start)).collect();
-        for (id, meta) in metas.iter().enumerate() {
-            block_of[meta.start as usize] = id as u32;
+        let heads: Vec<u32> = sb.blocks().iter().map(|m| m.start).filter(|&s| keep(s)).collect();
+        for (id, &start) in heads.iter().enumerate() {
+            block_of[start as usize] = id as u32;
+        }
+        let mut is_target = vec![false; code.len()];
+        for slot in code {
+            if let Instr::Branch { target, .. }
+            | Instr::Jump { target }
+            | Instr::Jal { target, .. } = slot.instr
+            {
+                if let Some(t) = is_target.get_mut(target as usize) {
+                    *t = true;
+                }
+            }
         }
         let link_of = |pc: u32| match block_of.get(pc as usize) {
             Some(&id) if id != NO_BLOCK => Link::Block(id),
             _ => Link::Exit(pc),
         };
-        let blocks = metas
+        let blocks = heads
             .iter()
-            .map(|meta| {
-                let start = meta.start as usize;
-                let body_end = start + meta.len as usize;
+            .map(|&start| {
+                let mut pc = start as usize;
                 let mut tasklet_sensitive = false;
-                let mut thunks: Vec<BlockFn> = Vec::with_capacity(meta.len as usize);
-                for slot in &code[start..body_end] {
-                    tasklet_sensitive |= matches!(slot.instr, Instr::TaskletId { .. });
-                    thunks.push(op_thunk(&slot.instr));
-                }
-                let (term, term_op) = compile_term(code, body_end as u32, &link_of);
-                let mut op_counts = meta.op_counts.clone();
-                if let Some(op) = term_op {
-                    match op_counts.iter_mut().find(|(o, _)| *o == op) {
-                        Some((_, c)) => *c += 1,
-                        None => op_counts.push((op, 1)),
+                let mut op_counts: Vec<(u8, u32)> = Vec::new();
+                // The thunks before the first access, then each access with
+                // the thunks after it.
+                let mut head: Vec<BlockFn> = Vec::new();
+                let mut steps: Vec<(Access, Vec<BlockFn>)> = Vec::new();
+                while let Some(slot) = code.get(pc) {
+                    if pc > start as usize && is_target[pc] {
+                        break;
                     }
+                    let access = match slot.instr {
+                        Instr::Load { width, rd, ra, off } => {
+                            Some(Access::Load { width, rd, ra, off })
+                        }
+                        Instr::Store { width, ra, off, rs } => {
+                            Some(Access::Store { width, ra, off, rs })
+                        }
+                        ref instr if is_superblock_op(instr) => None,
+                        _ => break,
+                    };
+                    bump(&mut op_counts, slot.op);
+                    if let Some(access) = access {
+                        steps.push((access, Vec::new()));
+                    } else {
+                        tasklet_sensitive |= matches!(slot.instr, Instr::TaskletId { .. });
+                        let run = match steps.last_mut() {
+                            Some((_, run)) => run,
+                            None => &mut head,
+                        };
+                        run.push(op_thunk(&slot.instr));
+                    }
+                    pc += 1;
+                }
+                let body_len = pc as u32 - start;
+                let (term, term_op) = compile_term(code, pc as u32, &link_of);
+                if let Some(op) = term_op {
+                    bump(&mut op_counts, op);
                 }
                 CompiledBlock {
-                    start: meta.start,
-                    body_len: meta.len,
-                    slots: meta.len + u32::from(term_op.is_some()),
+                    start,
+                    head_len: head.len() as u32,
+                    body_len,
+                    slots: body_len + u32::from(term_op.is_some()),
                     op_counts,
                     tasklet_sensitive,
-                    body: fuse(thunks),
+                    head: fuse(head),
+                    steps: steps
+                        .into_iter()
+                        .map(|(access, ops)| Step { access, len: ops.len() as u32, ops: fuse(ops) })
+                        .collect(),
                     term,
                 }
             })
@@ -314,6 +441,14 @@ impl fmt::Debug for CompiledProgram {
     }
 }
 
+/// Count one more `op` in a sparse opcode histogram.
+fn bump(counts: &mut Vec<(u8, u32)>, op: u8) {
+    match counts.iter_mut().find(|(o, _)| *o == op) {
+        Some((_, c)) => *c += 1,
+        None => counts.push((op, 1)),
+    }
+}
+
 /// Compile the instruction at `pc` (the first after a block body) into a
 /// terminator, returning its opcode id when it consumes an issue slot.
 fn compile_term(code: &[ExecInstr], pc: u32, link_of: &impl Fn(u32) -> Link) -> (Term, Option<u8>) {
@@ -335,10 +470,11 @@ fn compile_term(code: &[ExecInstr], pc: u32, link_of: &impl Fn(u32) -> Link) -> 
             (Term::Jal { rd, ret: pc.wrapping_add(1), link: link_of(target) }, Some(op))
         }
         Some(&ExecInstr { instr: Instr::Jr { ra }, op }) => (Term::Jr { ra }, Some(op)),
-        // A boundary instruction (or the end of IRAM): fall through and
-        // deoptimize — unless the next pc is itself a compiled head, in
-        // which case the chain continues for free. `Next` links always
-        // move to a strictly larger pc, so zero-slot chains cannot cycle.
+        // A boundary instruction, a static branch target, or the end of
+        // IRAM: fall through and deoptimize — unless the next pc is itself
+        // a compiled head, in which case the chain continues for free.
+        // `Next` links always move to a strictly larger pc, so zero-slot
+        // chains cannot cycle.
         _ => (Term::Next(link_of(pc)), None),
     }
 }
@@ -381,7 +517,8 @@ fn nop_thunk() -> BlockFn {
     Box::new(|_, _| {})
 }
 
-/// Pre-bind one superblock instruction into its register-effect closure.
+/// Pre-bind one register-only instruction into its register-effect
+/// closure.
 /// Exactly the semantics of the interpreter's `apply_pure` arms, with
 /// operand indices and immediates resolved at compile time.
 fn op_thunk(instr: &Instr) -> BlockFn {
@@ -461,8 +598,8 @@ fn op_thunk(instr: &Instr) -> BlockFn {
                 Box::new(move |r, t| r[d] = t)
             }
         }
-        // The superblock classifier guarantees no other variant appears in
-        // a block body.
+        // The body scan sends every other variant to an access or the
+        // terminator.
         _ => {
             debug_assert!(false, "non-superblock op {instr:?} compiled into a block body");
             nop_thunk()
@@ -532,7 +669,8 @@ mod tests {
         let b1 = cp.block(cp.block_id_at(2).unwrap());
         let mut regs: Regs = [0; REGS_PER_TASKLET];
         regs[1] = 10;
-        b1.run(&mut regs, 0);
+        assert!(b1.steps().is_empty(), "no access: the head is the whole body");
+        b1.run_head(&mut regs, 0);
         assert_eq!(regs[2], 10, "add r2, r2, r1");
         assert_eq!(regs[1], 9, "addi r1, r1, -1");
     }
@@ -549,7 +687,7 @@ mod tests {
         let b = cp.block(cp.block_id_at(0).unwrap());
         let mut regs: Regs = [7; REGS_PER_TASKLET];
         regs[0] = 0;
-        b.run(&mut regs, 3);
+        b.run_head(&mut regs, 3);
         assert_eq!(regs[0], 0, "r0 stays hardwired zero");
     }
 
@@ -565,8 +703,68 @@ mod tests {
         let b = cp.block(cp.block_id_at(0).unwrap());
         assert!(b.tasklet_sensitive());
         let mut regs: Regs = [0; REGS_PER_TASKLET];
-        b.run(&mut regs, 5);
+        b.run_head(&mut regs, 5);
         assert_eq!(regs[1], 6);
+    }
+
+    #[test]
+    fn bodies_carry_loads_and_stores_up_to_control_flow() {
+        use crate::isa::Width;
+        let p = Program::new(vec![
+            I::Movi { rd: r(4), imm: 0x40 },
+            I::Load { width: Width::W, rd: r(2), ra: r(4), off: 0 },
+            I::Addi { rd: r(2), ra: r(2), imm: 1 },
+            I::Store { width: Width::W, ra: r(4), off: 4, rs: r(2) },
+            I::Load { width: Width::B, rd: r(3), ra: r(4), off: 4 },
+            I::Add { rd: r(5), ra: r(2), rb: r(3) },
+            I::Addi { rd: r(1), ra: r(1), imm: -1 },
+            I::Branch { cond: Cond::Ne, ra: r(1), rb: r(0), target: 2 },
+            I::Halt,
+        ]);
+        let exec = ExecProgram::compile(&p).unwrap();
+        let cp = CompiledProgram::compile_all(exec.code(), exec.superblocks());
+        // Heads stay the superblock heads: 0, 2 (branch target, after the
+        // load) and 5 (after the second load).
+        let starts: Vec<u32> = cp.blocks().iter().map(CompiledBlock::start).collect();
+        assert_eq!(starts, vec![0, 2, 5]);
+
+        // Head 0 runs through its load and stops before the static target.
+        let b0 = cp.block(0);
+        assert_eq!((b0.head_len(), b0.body_len(), b0.slots()), (1, 2, 2));
+        let shape: Vec<_> = b0.steps().iter().map(|s| (s.access(), s.len())).collect();
+        assert_eq!(shape, vec![(Access::Load { width: Width::W, rd: r(2), ra: r(4), off: 0 }, 0)]);
+        assert!(matches!(b0.term(), Term::Next(Link::Block(1))));
+
+        // Head 2 carries the store and the second load (back to back: an
+        // empty run between them) through to the branch.
+        let b1 = cp.block(1);
+        assert_eq!((b1.head_len(), b1.body_len(), b1.slots()), (1, 5, 6));
+        let shape: Vec<_> = b1.steps().iter().map(|s| (s.access(), s.len())).collect();
+        assert_eq!(
+            shape,
+            vec![
+                (Access::Store { width: Width::W, ra: r(4), off: 4, rs: r(2) }, 0),
+                (Access::Load { width: Width::B, rd: r(3), ra: r(4), off: 4 }, 2),
+            ]
+        );
+        match *b1.term() {
+            Term::Branch { taken, fall, .. } => {
+                assert_eq!(taken, Link::Block(1));
+                assert_eq!(fall, Link::Exit(8));
+            }
+            ref t => panic!("unexpected terminator {t:?}"),
+        }
+        let op = |i: &I| op_id(i);
+        let mut counts = b1.op_counts().to_vec();
+        counts.sort_unstable();
+        let mut expected = vec![
+            (op(&I::Add { rd: r(1), ra: r(1), rb: r(1) }), 3),
+            (op(&I::Load { width: Width::W, rd: r(1), ra: r(1), off: 0 }), 1),
+            (op(&I::Store { width: Width::W, ra: r(1), off: 0, rs: r(1) }), 1),
+            (op(&I::Branch { cond: Cond::Ne, ra: r(1), rb: r(0), target: 0 }), 1),
+        ];
+        expected.sort_unstable();
+        assert_eq!(counts, expected);
     }
 
     #[test]

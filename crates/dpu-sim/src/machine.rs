@@ -18,7 +18,7 @@
 //! single-tasklet issue rate of one instruction per 11 cycles the measured
 //! totals reproduce Table 3.1 within ~1.5 % (see [`crate::subroutines`]).
 
-use crate::compile::{CompiledProgram, Link, Term};
+use crate::compile::{Access, CompiledBlock, CompiledProgram, Link, Term};
 use crate::error::{Error, Result};
 use crate::exec::{self, ExecInstr, ExecProgram, Superblocks, OP_COUNT};
 use crate::faults::{AttemptFaults, DmaFault, FaultKind};
@@ -172,7 +172,8 @@ impl PartialEq for RunResult {
 ///
 /// Host-side execution detail, deterministic for a given tier and input
 /// but not a simulated figure: on the fast tiers the three slot counts
-/// sum to [`RunResult::instructions`], the reference loop leaves every
+/// sum to [`RunResult::instructions`] (`chain_slots` counts the share of
+/// them that compiled chains retired), the reference loop leaves every
 /// count at zero, and `RunResult` equality ignores it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnginePaths {
@@ -191,6 +192,9 @@ pub struct EnginePaths {
     /// Window chunks rolled back because an instruction in them faulted
     /// (at most one per run: windows stop after it).
     pub fault_rollbacks: u32,
+    /// Issue slots retired inside compiled threaded-code chains (a subset
+    /// of the window and sole slots; zero off the compiled tier).
+    pub chain_slots: u64,
 }
 
 impl EnginePaths {
@@ -202,6 +206,7 @@ impl EnginePaths {
         self.windows += other.windows;
         self.conflicts += other.conflicts;
         self.fault_rollbacks += other.fault_rollbacks;
+        self.chain_slots += other.chain_slots;
     }
 }
 
@@ -874,6 +879,27 @@ struct Interp<'a> {
     sched_changed: bool,
 }
 
+/// How a compiled chain runs ([`Interp::run_compiled`]).
+#[derive(Debug, Clone, Copy)]
+struct ChainMode {
+    /// Tasklets each executed slot stands for: the histogram and
+    /// [`EnginePaths::chain_slots`] scale by it.
+    replicas: u64,
+    /// A replicated lockstep chain: tasklet-sensitive blocks stop it.
+    replicate: bool,
+    /// A tracked window run: every access is tagged and every store
+    /// logged for undo.
+    track: bool,
+    /// Stores may run (false in lockstep chains and in windows once a
+    /// conflict barred them).
+    stores: bool,
+}
+
+impl ChainMode {
+    /// Sole mode: one tasklet, accesses run untagged.
+    const SOLE: Self = Self { replicas: 1, replicate: false, track: false, stores: true };
+}
+
 /// Issue-slot classification used by the batched fast paths.
 enum SlotKind {
     /// An inline (schedule-neutral) instruction was dispatched; its pick
@@ -1209,7 +1235,7 @@ impl Interp<'_> {
                 // through with pc unchanged, so progress is guaranteed by
                 // the per-op paths below).
                 if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc)) {
-                    let ran = self.run_compiled(t, bid, k_cap - k, 1, false);
+                    let ran = self.run_compiled(t, bid, k_cap - k, ChainMode::SOLE);
                     if ran > 0 {
                         k += ran;
                         continue;
@@ -1328,9 +1354,11 @@ impl Interp<'_> {
     ///
     /// * With identical register files, a threaded-code chain runs ONCE
     ///   on the lead tasklet and its end state is replicated to the rest:
-    ///   compiled bodies are deterministic functions of the private
-    ///   register file alone (tasklet-sensitive blocks stop the chain),
-    ///   so identical inputs give identical per-tasklet traces.
+    ///   without stores (they stop the chain) nothing writes WRAM during
+    ///   the rounds, so compiled bodies are deterministic functions of the
+    ///   private register file (tasklet-sensitive blocks stop the chain)
+    ///   and identical inputs load identical words and give identical
+    ///   per-tasklet traces.
     /// * Otherwise a memoized superblock replays for each tasklet in one
     ///   go ([`Interp::apply_block_all`]), or one schedule-neutral
     ///   instruction executes for all of them
@@ -1353,7 +1381,8 @@ impl Interp<'_> {
                     break;
                 }
                 let lead = order[0];
-                let ran = self.run_compiled(lead, bid, cap - done, replicas, true);
+                let mode = ChainMode { replicas, replicate: true, track: false, stores: false };
+                let ran = self.run_compiled(lead, bid, cap - done, mode);
                 if ran > 0 {
                     let pc_after = self.threads[lead].pc;
                     let regs_after = self.threads[lead].regs;
@@ -1413,6 +1442,7 @@ impl Interp<'_> {
         }
         self.mem.begin(self.machine.wram.len().div_ceil(4));
         let ops_at_start = self.op_counts;
+        let chain_at_start = self.paths.chain_slots;
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.snap.clear();
         scratch.snap.extend(near.iter().map(|&t| self.threads[t].clone()));
@@ -1421,6 +1451,7 @@ impl Interp<'_> {
         let mut failed = None;
         for &t in near {
             let before = self.op_counts;
+            let chain_before = self.paths.chain_slots;
             let log_start = self.mem.undo.len();
             match self.window_run::<true>(t, cap) {
                 Ok(Some(ran)) => {
@@ -1432,6 +1463,7 @@ impl Interp<'_> {
                         ran,
                         log: log_start..self.mem.undo.len(),
                         delta,
+                        chain_slots: self.paths.chain_slots - chain_before,
                     });
                     cap = cap.min(ran);
                 }
@@ -1454,6 +1486,7 @@ impl Interp<'_> {
                 self.threads[t].clone_from(snap);
             }
             self.op_counts = ops_at_start;
+            self.paths.chain_slots = chain_at_start;
             if fault {
                 self.paths.fault_rollbacks += 1;
                 self.window_wait = u64::MAX;
@@ -1475,6 +1508,7 @@ impl Interp<'_> {
             for (o, d) in self.op_counts.iter_mut().zip(&run.delta) {
                 *o -= d;
             }
+            self.paths.chain_slots -= run.chain_slots;
             // The prefix already ran once without conflict or fault, so
             // re-running it reads the same words and must stop at `cap`.
             let rerun = self.window_run::<false>(t, cap);
@@ -1508,7 +1542,13 @@ impl Interp<'_> {
         while k < cap {
             let pc = self.threads[t].pc as usize;
             if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc)) {
-                let ran = self.run_compiled(t, bid, cap - k, 1, false);
+                let mode = ChainMode {
+                    replicas: 1,
+                    replicate: false,
+                    track: TRACK,
+                    stores: self.window_stores,
+                };
+                let ran = self.run_compiled(t, bid, cap - k, mode);
                 if ran > 0 {
                     k += ran;
                     continue;
@@ -1694,43 +1734,50 @@ impl Interp<'_> {
     ///
     /// The chain runs block to block through compiled links — no fetch,
     /// no decode, no per-instruction classify — folding each block's
-    /// memoized issue-slot and histogram counts per entry. It stops, with
-    /// the tasklet's pc parked on the next block's start so any engine
-    /// resumes exactly where the reference would be, when the next block
-    /// would overrun `cap` (budget exactness) or when a link exits
-    /// compiled code (a deopt: cold block, side-exit boundary op,
-    /// mid-block `jr` target, or end of IRAM — the out-of-range pc then
-    /// faults at the next fetch exactly like the reference).
+    /// memoized issue-slot and histogram counts per entry, and executing
+    /// the WRAM accesses in the block bodies itself ([`Interp::chain_access`]).
+    /// It stops with the tasklet's pc parked on the first instruction it
+    /// did not execute, so any engine resumes exactly where the reference
+    /// would be, and with exactly the ops before that pc counted:
     ///
-    /// `replicas` scales the histogram folds and `replicate` guards
-    /// tasklet-sensitive blocks for a window's lockstep replication (see
-    /// [`Interp::window_lockstep`]); everyone else passes `1, false`.
-    /// Compiled bodies touch only the private register file and pc, are
-    /// deterministic, cannot fault and cannot observe scheduling, so the
+    /// * when the next body segment, access or terminator would overrun
+    ///   `cap` (budget exactness);
+    /// * before an access the chain may not run (see `mode`): one that
+    ///   would fault, a tracked one that conflicts, or a barred store —
+    ///   the per-slot path then surfaces the fault, conflict or window
+    ///   boundary at its exact slot;
+    /// * when a link exits compiled code (a deopt: cold block, boundary
+    ///   op, mid-block `jr` target, or end of IRAM — the out-of-range pc
+    ///   then faults at the next fetch exactly like the reference).
+    ///
+    /// Between accesses, compiled bodies touch only the private register
+    /// file, are deterministic and cannot observe scheduling, so the
     /// chain needs no budget or scheduler probes mid-flight.
-    fn run_compiled(
-        &mut self,
-        t: usize,
-        bid: u32,
-        cap: u64,
-        replicas: u64,
-        replicate: bool,
-    ) -> u64 {
+    fn run_compiled(&mut self, t: usize, bid: u32, cap: u64, mode: ChainMode) -> u64 {
         let Some(cp) = self.compiled else { return 0 };
         let mut bid = bid;
         let mut k: u64 = 0;
         loop {
             let b = cp.block(bid);
-            let slots = u64::from(b.slots());
-            if k + slots > cap || (replicate && b.tasklet_sensitive()) {
-                self.threads[t].pc = b.start();
-                return k;
+            // Register-only blocks that fit run straight; the rest take the
+            // step-by-step path.
+            let fits = k + u64::from(b.slots()) <= cap;
+            if fits && b.steps().is_empty() && !(mode.replicate && b.tasklet_sensitive()) {
+                b.run_head(&mut self.threads[t].regs, t as u32);
+            } else if let Some(used) = self.run_body(t, b, cap - k, mode) {
+                // Part of the block ran: fold exactly its ops and park on
+                // the first one that did not.
+                let pc = b.start() as usize + used as usize;
+                for slot in &self.code[b.start() as usize..pc] {
+                    self.op_counts[slot.op as usize] += mode.replicas;
+                }
+                self.threads[t].pc = pc as u32;
+                return self.chain_end(k + used, mode);
             }
-            b.run(&mut self.threads[t].regs, t as u32);
             for &(op, c) in b.op_counts() {
-                self.op_counts[op as usize] += u64::from(c) * replicas;
+                self.op_counts[op as usize] += u64::from(c) * mode.replicas;
             }
-            k += slots;
+            k += u64::from(b.slots());
             let link = match *b.term() {
                 Term::Next(link) | Term::Jump(link) => link,
                 Term::Jal { rd, ret, link } => {
@@ -1751,10 +1798,87 @@ impl Interp<'_> {
                 Link::Block(next) => bid = next,
                 Link::Exit(pc) => {
                     self.threads[t].pc = pc;
-                    return k;
+                    return self.chain_end(k, mode);
                 }
             }
         }
+    }
+
+    /// Run block `b`'s body for tasklet `t` with `room` slots left,
+    /// checking every step against the room and every access against
+    /// `mode`; `None` when the whole block (terminator slot included)
+    /// fits and ran, otherwise the body instructions that ran before the
+    /// chain had to stop.
+    // Kept out of line: inlined, it slowed `run_compiled`'s loop over
+    // register-only blocks (the ALU microbenchmarks) by ~10 %.
+    #[inline(never)]
+    fn run_body(&mut self, t: usize, b: &CompiledBlock, room: u64, mode: ChainMode) -> Option<u64> {
+        let head = u64::from(b.head_len());
+        if (mode.replicate && b.tasklet_sensitive()) || head > room {
+            return Some(0);
+        }
+        b.run_head(&mut self.threads[t].regs, t as u32);
+        let mut used = head;
+        for step in b.steps() {
+            if used == room || !self.chain_access(t, step.access(), mode) {
+                return Some(used);
+            }
+            used += 1;
+            let len = u64::from(step.len());
+            if used + len > room {
+                return Some(used);
+            }
+            step.run(&mut self.threads[t].regs, t as u32);
+            used += len;
+        }
+        (u64::from(b.slots()) > room).then_some(used)
+    }
+
+    /// Account a chain that retired `k` slots per replica.
+    fn chain_end(&mut self, k: u64, mode: ChainMode) -> u64 {
+        self.paths.chain_slots += k * mode.replicas;
+        k
+    }
+
+    /// Execute one WRAM access of a compiled chain for tasklet `t`, as
+    /// [`Interp::dispatch_inline`] would (the caller counts its op);
+    /// false, with no register or WRAM byte changed, when the chain must
+    /// stop before it: the access would fault, a store is barred by
+    /// `mode`, or a tracked access conflicts. (A conflicting access may
+    /// leave its first word tagged; tagging is idempotent, so the
+    /// per-slot re-dispatch finds the same conflict.)
+    #[inline]
+    fn chain_access(&mut self, t: usize, access: Access, mode: ChainMode) -> bool {
+        let th = &mut self.threads[t];
+        match access {
+            Access::Load { width, rd, ra, off } => {
+                let addr = th.get(ra).wrapping_add(off as u32) as usize;
+                let Ok(v) = wram_read(&self.machine.wram, width, addr) else { return false };
+                if mode.track && !self.mem.touch(addr, width, t, false) {
+                    return false;
+                }
+                th.set(rd, v);
+            }
+            Access::Store { width, ra, off, rs } => {
+                if !mode.stores {
+                    return false;
+                }
+                let addr = th.get(ra).wrapping_add(off as u32) as usize;
+                if mode.track {
+                    let Ok(old) = wram_read(&self.machine.wram, width, addr) else { return false };
+                    if !self.mem.touch(addr, width, t, true) {
+                        return false;
+                    }
+                    self.mem.undo.push(Undo { addr: addr as u32, width, old });
+                }
+                // An out-of-range store writes nothing, so the chain can
+                // stop before it with WRAM untouched.
+                if wram_write(&mut self.machine.wram, width, addr, th.get(rs)).is_err() {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Do all tasklets in `order` carry the lead tasklet's register file
@@ -2274,6 +2398,8 @@ struct TaskletRun {
     log: std::ops::Range<usize>,
     /// Its op-count contribution.
     delta: [u64; OP_COUNT],
+    /// Its contribution to [`EnginePaths::chain_slots`].
+    chain_slots: u64,
 }
 
 /// Reused per-run buffers of the window chunks.

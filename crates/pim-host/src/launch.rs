@@ -251,13 +251,10 @@ impl StealStats {
     }
 }
 
-/// What happened to one DPU's simulation.
-enum DpuOutcome {
-    /// The interpreter ran to a verdict (completion or a DPU fault).
-    Done(dpu_sim::Result<RunResult>),
-    /// The worker thread panicked while simulating this DPU.
-    Panicked(String),
-}
+/// What happened to one DPU's simulation: the interpreter's verdict
+/// (completion or a DPU fault), or the detail of the panic that killed
+/// the worker thread while simulating it.
+type DpuOutcome = std::result::Result<dpu_sim::Result<RunResult>, String>;
 
 /// Run the decoded program on every DPU of `system` and collect per-DPU
 /// results plus trace buffers, both in DPU order.
@@ -287,8 +284,8 @@ pub(crate) fn launch_on(
     let mut per_dpu = Vec::with_capacity(n);
     for outcome in outcomes {
         match outcome {
-            DpuOutcome::Done(r) => per_dpu.push(r?),
-            DpuOutcome::Panicked(detail) => return Err(HostError::WorkerPanic { detail }),
+            Ok(r) => per_dpu.push(r?),
+            Err(detail) => return Err(HostError::WorkerPanic { detail }),
         }
     }
     Ok((LaunchResult { per_dpu, tasklets }, buffers, steal))
@@ -328,7 +325,7 @@ fn run_sequential(
     system
         .iter_mut()
         .zip(buffers.iter_mut())
-        .map(|((_, dpu), buf)| DpuOutcome::Done(run_one(dpu, exec, tasklets, trace, engine, buf)))
+        .map(|((_, dpu), buf)| Ok(run_one(dpu, exec, tasklets, trace, engine, buf)))
         .collect()
 }
 
@@ -366,10 +363,8 @@ where
     // faulty simulation surfaces as a `HostError` instead of unwinding
     // out of the pool batch.
     steal_jobs(pool, system, buffers, |i, dpu, buf| {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i, dpu, buf))) {
-            Ok(res) => DpuOutcome::Done(res),
-            Err(payload) => DpuOutcome::Panicked(panic_detail(payload.as_ref())),
-        }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i, dpu, buf)))
+            .map_err(|payload| panic_detail(payload.as_ref()))
     })
 }
 
@@ -668,8 +663,8 @@ mod scheduler_equivalence_tests {
         outcomes
             .into_iter()
             .map(|o| match o {
-                DpuOutcome::Done(r) => r.expect("program halts"),
-                DpuOutcome::Panicked(d) => panic!("worker panicked: {d}"),
+                Ok(r) => r.expect("program halts"),
+                Err(d) => panic!("worker panicked: {d}"),
             })
             .collect()
     }
@@ -743,11 +738,11 @@ mod scheduler_equivalence_tests {
         assert!(stats.workers() >= 1);
         for (i, o) in outcomes.iter().enumerate() {
             match o {
-                DpuOutcome::Done(r) => {
+                Ok(r) => {
                     assert_ne!(i, 3);
                     assert!(r.is_ok());
                 }
-                DpuOutcome::Panicked(detail) => {
+                Err(detail) => {
                     assert_eq!(i, 3);
                     assert!(detail.contains("injected failure"), "got {detail}");
                 }
@@ -776,10 +771,7 @@ mod scheduler_equivalence_tests {
             }
             r
         });
-        assert!(outcomes
-            .iter()
-            .enumerate()
-            .any(|(i, o)| i == 2 && matches!(o, DpuOutcome::Panicked(_))));
+        assert!(outcomes.iter().enumerate().any(|(i, o)| i == 2 && o.is_err()));
 
         // Relaunch on the same (partly poisoned) set: every DPU's perf
         // read must start from zero, including the one whose worker died.

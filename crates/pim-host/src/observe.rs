@@ -28,7 +28,9 @@
 //! windows), `obs.sim.window.single_slots` (retired one at a time),
 //! `obs.sim.window.sole_slots` (one runnable tasklet; the three sum to
 //! `obs.instructions` on the fast tiers), `obs.sim.window.formed`,
-//! `obs.sim.window.conflicts` and `obs.sim.window.fault_rollbacks`.
+//! `obs.sim.window.conflicts`, `obs.sim.window.fault_rollbacks` and
+//! `obs.sim.window.chain_slots` (the slots of the first three that
+//! compiled threaded-code chains retired; zero off the compiled tier).
 //!
 //! Histograms (quantile summaries, deterministic): `obs.launch.makespan_cycles`,
 //! `obs.dpu.cycles`, `obs.dpu.instructions`, `obs.dpu.ipc`,
@@ -51,7 +53,7 @@ use pim_trace::{prometheus_text, MetricsRegistry};
 /// The `obs.sim.window.*` counters of `paths`, by metric name — the one
 /// place the engine-path key names live (see the module docs).
 #[must_use]
-pub fn engine_path_counters(paths: &EnginePaths) -> [(&'static str, u64); 6] {
+pub fn engine_path_counters(paths: &EnginePaths) -> [(&'static str, u64); 7] {
     [
         ("obs.sim.window.slots", paths.window_slots),
         ("obs.sim.window.single_slots", paths.single_slots),
@@ -59,6 +61,7 @@ pub fn engine_path_counters(paths: &EnginePaths) -> [(&'static str, u64); 6] {
         ("obs.sim.window.formed", paths.windows),
         ("obs.sim.window.conflicts", u64::from(paths.conflicts)),
         ("obs.sim.window.fault_rollbacks", u64::from(paths.fault_rollbacks)),
+        ("obs.sim.window.chain_slots", paths.chain_slots),
     ]
 }
 

@@ -125,6 +125,7 @@ fn observation_metrics_key_set_is_stable() {
             "obs.quarantined",
             "obs.redispatched",
             "obs.retries",
+            "obs.sim.window.chain_slots",
             "obs.sim.window.conflicts",
             "obs.sim.window.fault_rollbacks",
             "obs.sim.window.formed",

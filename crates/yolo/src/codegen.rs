@@ -417,9 +417,11 @@ impl RowEngine {
     }
 
     /// Scatter up to [`RowEngine::capacity`] `A` rows (`rows.len()` must
-    /// be a multiple of `dims.k`). DPUs beyond the staged rows rerun
-    /// whatever row they last held; their `C` rows are not gathered.
-    /// Returns the bytes written over the host link.
+    /// be a multiple of `dims.k`). DPUs beyond the staged rows are
+    /// padded with an all-zero `A` row, so every launch still runs the
+    /// kernel on all DPUs; their `C` rows are not gathered (this padded
+    /// work is what `perfbench` reports as `host.idle_instr_frac`).
+    /// Returns the bytes written over the host link, padding included.
     ///
     /// # Errors
     /// Host-runtime failures.

@@ -377,3 +377,236 @@ proptest! {
         }
     }
 }
+
+/// `assert_tier_matches_reference` on both fast tiers; returns the
+/// superblock and compiled engine paths.
+fn both_tiers(
+    start: &Machine,
+    exec: &ExecProgram,
+    tasklets: usize,
+    budget: u64,
+    label: &str,
+) -> (EnginePaths, EnginePaths, Result<RunResult, dpu_sim::Error>) {
+    let (superblock, _) =
+        assert_tier_matches_reference(start, exec, tasklets, budget, Engine::Superblock, label);
+    let (compiled, reference) =
+        assert_tier_matches_reference(start, exec, tasklets, budget, Engine::Compiled, label);
+    (superblock, compiled, reference)
+}
+
+/// A racy shared counter whose load and store both sit in the middle of
+/// one compiled block body, followed by a loop of private stores: the
+/// cross-tasklet conflict is first seen inside a compiled chain, the
+/// chunk rolls back (undoing the stores the chains made), and from then
+/// on stores leave chains and windows, so exactly one conflict is ever
+/// counted.
+#[test]
+fn conflict_first_seen_inside_a_compiled_chain_bars_stores() {
+    let program = assemble(
+        "me r1\n\
+         movi r2, 40\n\
+         lsli r7, r1, 2\n\
+         race: addi r5, r5, 1\n\
+         xor r6, r5, r2\n\
+         lw r3, r0, 0x40\n\
+         addi r3, r3, 1\n\
+         sw r0, 0x40, r3\n\
+         add r6, r6, r3\n\
+         sw r7, 0x100, r6\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, race\n\
+         movi r2, 40\n\
+         private: lw r4, r7, 0x100\n\
+         addi r4, r4, 3\n\
+         sw r7, 0x100, r4\n\
+         xor r5, r5, r4\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, private\n\
+         sw r7, 0x200, r5\n\
+         halt\n",
+    )
+    .unwrap();
+    let exec = ExecProgram::compile(&program).unwrap();
+    let start = Machine::default();
+    for tasklets in [2usize, 5, 12, 16] {
+        let label = format!("{tasklets} tasklets, conflict in a chain");
+        let (superblock, compiled, reference) =
+            both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+        reference.expect("completes");
+        for paths in [superblock, compiled] {
+            assert_eq!(paths.conflicts, 1, "{label}: {paths:?}");
+            assert!(paths.window_slots > 0, "{label}: {paths:?}");
+        }
+        assert_eq!(superblock.chain_slots, 0, "{label}: {superblock:?}");
+        assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+    }
+}
+
+/// Every tasklet loads a shared word inside a compiled block; tasklet 1
+/// also stores to it. Tasklet-major chunks run tasklet 0's loads before
+/// tasklet 1's stores, so only the load tags laid down inside tasklet
+/// 0's chains reveal the conflict.
+#[test]
+fn load_tags_inside_a_chain_catch_a_later_writer() {
+    let program = assemble(
+        "me r1\n\
+         lsli r7, r1, 2\n\
+         addi r7, r7, 0x100\n\
+         movi r6, 1\n\
+         bne r1, r6, go\n\
+         movi r7, 0x40\n\
+         go: movi r2, 40\n\
+         loop: addi r5, r5, 7\n\
+         lw r3, r0, 0x40\n\
+         add r4, r4, r3\n\
+         sw r7, 0, r5\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, loop\n\
+         lsli r8, r1, 2\n\
+         sw r8, 0x200, r4\n\
+         halt\n",
+    )
+    .unwrap();
+    let exec = ExecProgram::compile(&program).unwrap();
+    let start = Machine::default();
+    for tasklets in [2usize, 7, 16] {
+        let label = format!("{tasklets} tasklets, reader before writer");
+        let (superblock, compiled, reference) =
+            both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+        reference.expect("completes");
+        for paths in [superblock, compiled] {
+            assert_eq!(paths.conflicts, 1, "{label}: {paths:?}");
+        }
+        assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+    }
+}
+
+/// A loop of `iterations` whose one compiled block carries three WRAM
+/// accesses; the access at `fault_at` (0, 1 or 2: first, middle, last)
+/// goes through a base register that grows by 0x800 per iteration and
+/// leaves the 64 KiB WRAM in iteration 32.
+/// `fault_store` makes that access a store, otherwise a load. With
+/// `identical`, every tasklet starts with the same register file (a
+/// replicated lockstep prefix); otherwise each tasklet gets its own
+/// stripe (tasklet-major window chunks).
+fn faulting_block(
+    fault_at: usize,
+    fault_store: bool,
+    identical: bool,
+    iterations: u32,
+) -> ExecProgram {
+    let mut accesses =
+        ["lw r3, r7, 0x100", "sw r7, 0x180, r9", "lw r4, r7, 0x104"].map(String::from);
+    accesses[fault_at] =
+        if fault_store { "sw r8, 0, r9".to_string() } else { "lw r3, r8, 0".to_string() };
+    let stripe = if identical { "movi r7, 0\n" } else { "me r1\nlsli r7, r1, 3\n" };
+    let source = format!(
+        "{stripe}\
+         add r8, r7, r0\n\
+         addi r8, r8, 0x400\n\
+         movi r2, {iterations}\n\
+         loop: addi r8, r8, 0x800\n\
+         addi r9, r9, 1\n\
+         {}\n\
+         add r10, r10, r3\n\
+         {}\n\
+         xor r11, r11, r4\n\
+         {}\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, loop\n\
+         halt\n",
+        accesses[0], accesses[1], accesses[2]
+    );
+    ExecProgram::compile(&assemble(&source).unwrap()).unwrap()
+}
+
+/// Faulting loads and stores at the first, middle and last access of a
+/// compiled block, in sole mode, in window chunks and in a replicated
+/// lockstep prefix: the chain parks on the access with exactly the ops
+/// before it counted, and the fault surfaces at the reference's slot
+/// with the reference's memory image.
+#[test]
+fn faulting_access_inside_a_compiled_block_matches_reference() {
+    let start = Machine::default();
+    for fault_at in 0..3 {
+        for fault_store in [false, true] {
+            for identical in [false, true] {
+                let exec = faulting_block(fault_at, fault_store, identical, 60);
+                for tasklets in [1usize, 4, 11] {
+                    let kind = if fault_store { "store" } else { "load" };
+                    let label = format!(
+                        "{kind} fault at access {fault_at}, {tasklets} tasklets, identical \
+                         registers: {identical}"
+                    );
+                    let (_, _, reference) = both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+                    assert!(
+                        matches!(reference, Err(dpu_sim::Error::OutOfBounds { .. })),
+                        "{label}: {reference:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Cycle budgets running out inside chains that hold loads and stores,
+/// at every slot of the first iterations and then sparsely, in sole
+/// mode, lockstep and window chunks.
+#[test]
+fn budget_running_out_in_a_chain_with_accesses_matches_reference() {
+    let start = Machine::default();
+    for identical in [false, true] {
+        // Twenty iterations end before the growing store leaves WRAM.
+        let clean = faulting_block(2, true, identical, 20);
+        for tasklets in [1usize, 3, 16] {
+            let label = format!("{tasklets} tasklets, identical registers: {identical}");
+            let (_, compiled, full) = both_tiers(&start, &clean, tasklets, u64::MAX, &label);
+            let full = full.expect("completes");
+            assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+            if !identical {
+                assert!(compiled.chain_slots * 2 > full.instructions, "{label}: {compiled:?}");
+            }
+            let dense = (0..400).step_by(1);
+            let sparse = (400..full.cycles + 12).step_by(61);
+            for budget in dense.chain(sparse) {
+                let label = format!("{label}, budget {budget}");
+                let _ = both_tiers(&start, &clean, tasklets, budget, &label);
+            }
+        }
+    }
+}
+
+/// Tasklets with identical register files reach a store on a shared word
+/// through a replicated lockstep chain that carries loads: the chain
+/// stops before the store, the chunks that follow find the store-store
+/// conflict, and the result stays the reference's.
+#[test]
+fn store_reached_by_a_lockstep_chain_matches_reference() {
+    let program = assemble(
+        "movi r2, 50\n\
+         loop: lw r3, r0, 0x40\n\
+         addi r3, r3, 1\n\
+         lw r4, r0, 0x80\n\
+         xor r5, r5, r4\n\
+         add r5, r5, r3\n\
+         sw r0, 0x40, r3\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, loop\n\
+         sw r0, 0x44, r5\n\
+         halt\n",
+    )
+    .unwrap();
+    let exec = ExecProgram::compile(&program).unwrap();
+    let mut start = Machine::default();
+    start.wram.write_u32(0x80, 0x1234_5678).unwrap();
+    for tasklets in [2usize, 6, 16] {
+        let label = format!("{tasklets} identical tasklets");
+        let (superblock, compiled, reference) =
+            both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+        reference.expect("completes");
+        for paths in [superblock, compiled] {
+            assert_eq!(paths.conflicts, 1, "{label}: {paths:?}");
+        }
+        assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+    }
+}
