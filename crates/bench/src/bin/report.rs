@@ -17,7 +17,10 @@
 //! wall-clock harness and writes a machine-readable perf snapshot
 //! (per-bench median ns and simulated instructions per host second, plus
 //! a `host` block naming the core count, CPU model and rustc version) so
-//! successive PRs have a throughput trajectory to compare against.
+//! successive PRs have a throughput trajectory to compare against. Next
+//! to the ALU-loop tier ladder it times the paper's served kernels on
+//! every engine tier (`kernel/yolo_row_8t_*`, `kernel/ebnn_conv_16t_*`),
+//! so one snapshot carries same-run tier ratios on them.
 //!
 //! `--obs-snapshot` writes the deterministic observability snapshot the
 //! `perfgate` binary diffs against its committed baseline; `--folded`
@@ -365,13 +368,14 @@ fn emit<T: serde::Serialize>(json: bool, id: &str, value: &T, text: impl FnOnce(
 }
 
 /// Wall-clock hot-path scenarios behind `--bench-json`: the interpreter
-/// issue loop (1 / 11 tasklets and a synchronization-heavy shape) and a
-/// skewed multi-DPU launch. Each scenario reports the median wall time of
-/// N samples plus simulated instructions per host second — the simulator
-/// throughput figure that bounds how far the Fig. 4.7 sweeps can go.
+/// issue loop (1 / 11 tasklets and a synchronization-heavy shape), a
+/// skewed multi-DPU launch, and one DPU of each served kernel per engine
+/// tier. Each scenario reports the median wall time of N samples plus
+/// simulated instructions per host second — the simulator throughput
+/// figure that bounds how far the Fig. 4.7 sweeps can go.
 mod perf_snapshot {
     use dpu_sim::asm::assemble;
-    use dpu_sim::Machine;
+    use dpu_sim::{DpuId, Engine, ExecProgram, Machine};
     use pim_host::DpuSet;
     use std::time::Instant;
 
@@ -428,6 +432,53 @@ mod perf_snapshot {
         .expect("skewed program assembles")
     }
 
+    /// One DPU of a served kernel, staged and loaded: the machine to clone
+    /// per sample and its decoded program.
+    struct Kernel {
+        machine: Machine,
+        exec: ExecProgram,
+    }
+
+    impl Kernel {
+        fn of(set: &DpuSet) -> Self {
+            let program = set.loaded_program().expect("kernel loaded");
+            Self {
+                machine: set.system().dpu(DpuId(0)).clone(),
+                exec: ExecProgram::compile(program).expect("kernel compiles"),
+            }
+        }
+    }
+
+    /// The YOLO row GEMM kernel in `yolo_row_serve`'s shape (n = 64,
+    /// k = 32, 8 tasklets): three `__mulsi3` calls and one DMA per
+    /// multiply-accumulate.
+    fn yolo_row_kernel() -> Kernel {
+        use yolo_pim::gemm::GemmDims;
+        let dims = GemmDims { m: 0, n: 64, k: 32 };
+        let value = |i: usize| ((i * 37) % 251) as i16 - 125;
+        let b: Vec<i16> = (0..dims.k * dims.n).map(value).collect();
+        let a: Vec<i16> = (0..dims.k).map(|i| value(i * 7 + 3)).collect();
+        let mut engine =
+            yolo_pim::codegen::RowEngine::new(dims, 1, &b, 1, 8).expect("row engine builds");
+        engine.stage(&a).expect("row stages");
+        Kernel::of(engine.set())
+    }
+
+    /// The eBNN tier-1 conv kernel in `ebnn_serve`'s shape: one filter,
+    /// 16 images on one DPU (one per tasklet).
+    fn ebnn_conv_kernel() -> Kernel {
+        use ebnn::{EbnnModel, ModelConfig};
+        let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+        let slots: Vec<Vec<u8>> = (0..16)
+            .map(|i| {
+                ebnn::codegen::encode_slot(&model, &ebnn::mnist::synth_digit(i % 10, i as u64))
+            })
+            .collect();
+        let mut engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("eBNN engine builds");
+        engine.stage_encoded(&slots, 0).expect("images stage");
+        Kernel::of(engine.set())
+    }
+
     struct Sample {
         wall_ns: u128,
         instructions: u64,
@@ -466,6 +517,20 @@ mod perf_snapshot {
                 let mut m = Machine::default();
                 let start = Instant::now();
                 let res = m.run_exec_engine(&exec, tasklets, engine).expect("bench program runs");
+                Sample { wall_ns: start.elapsed().as_nanos(), instructions: res.instructions }
+            })
+            .collect();
+        median(&mut samples)
+    }
+
+    /// One DPU of a served kernel on a pinned engine tier, from a fresh
+    /// clone of its staged machine per sample.
+    fn bench_kernel(kernel: &Kernel, tasklets: usize, engine: Engine, n: usize) -> (u128, u64) {
+        let mut samples: Vec<Sample> = (0..n)
+            .map(|_| {
+                let mut m = kernel.machine.clone();
+                let start = Instant::now();
+                let res = m.run_exec_engine(&kernel.exec, tasklets, engine).expect("kernel runs");
                 Sample { wall_ns: start.elapsed().as_nanos(), instructions: res.instructions }
             })
             .collect();
@@ -564,8 +629,9 @@ mod perf_snapshot {
 
     #[allow(clippy::cast_precision_loss)]
     pub fn run(path: &str, samples: usize) {
-        use dpu_sim::Engine;
         let alu = alu_loop_program();
+        let yolo = yolo_row_kernel();
+        let ebnn = ebnn_conv_kernel();
         let scenarios: Vec<(&str, (u128, u64))> = vec![
             ("interpreter/alu_loop_1t", bench_interpreter(&alu, 1, samples)),
             ("interpreter/alu_loop_11t", bench_interpreter(&alu, 11, samples)),
@@ -585,6 +651,17 @@ mod perf_snapshot {
                 bench_engine(&alu, 11, Engine::Compiled, samples),
             ),
             ("interpreter/sync_heavy_16t", bench_interpreter(&sync_heavy_program(), 16, samples)),
+            // The paper's served kernels on every tier: the ratios that
+            // decide the tier ladder, measured in one run.
+            ("kernel/yolo_row_8t_reference", bench_kernel(&yolo, 8, Engine::Reference, samples)),
+            ("kernel/yolo_row_8t_superblock", bench_kernel(&yolo, 8, Engine::Superblock, samples)),
+            ("kernel/yolo_row_8t_compiled", bench_kernel(&yolo, 8, Engine::Compiled, samples)),
+            ("kernel/ebnn_conv_16t_reference", bench_kernel(&ebnn, 16, Engine::Reference, samples)),
+            (
+                "kernel/ebnn_conv_16t_superblock",
+                bench_kernel(&ebnn, 16, Engine::Superblock, samples),
+            ),
+            ("kernel/ebnn_conv_16t_compiled", bench_kernel(&ebnn, 16, Engine::Compiled, samples)),
             ("multi_dpu/skewed_32", bench_skewed_launch(32, samples)),
             ("multi_dpu/uniform_32", bench_uniform_launch(32, samples)),
             // The paper's full machine: 40 ranks of 64 DPUs through the

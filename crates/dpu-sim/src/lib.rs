@@ -68,6 +68,6 @@ pub use memory::{
 };
 pub use params::DpuParams;
 pub use pipeline::{Period, Pipeline};
-pub use profiler::{BlockCycles, CycleAttribution, Profiler, SubroutineCycles};
+pub use profiler::{BlockCycles, CycleAttribution, Profiler, SubroutineCounts, SubroutineCycles};
 pub use subroutines::Subroutine;
 pub use system::{DpuId, MramResidency, PimSystem, Rank};

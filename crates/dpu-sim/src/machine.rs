@@ -27,7 +27,8 @@ use crate::memory::{DmaEngine, Mram, Wram};
 use crate::params::{DpuParams, REGS_PER_TASKLET};
 use crate::perfcounter::PerfCounter;
 use crate::pipeline::{Period, Pipeline};
-use crate::profiler::{CycleAttribution, Profiler};
+use crate::profiler::{CycleAttribution, Profiler, SubroutineCounts};
+use crate::subroutines::Subroutine;
 use pim_trace::{DmaDirection, NullSink, TraceEvent, TraceSink};
 
 /// Default cycle budget for [`Machine::run`]; generous enough for every
@@ -731,6 +732,7 @@ impl Machine {
             parked: 0,
             at_barrier: vec![false; tasklets],
             op_counts: [0; OP_COUNT],
+            sub_counts: [0; Subroutine::ALL.len()],
             mutex_owner: vec![None; MUTEX_IDS],
             mutex_waiters: vec![std::collections::VecDeque::new(); MUTEX_IDS],
             result: RunResult::default(),
@@ -788,6 +790,7 @@ impl Machine {
 
         let mut result = interp.result;
         result.op_histogram = exec::fold_histogram(&interp.op_counts);
+        result.profile.record_counts(&interp.sub_counts);
         result.cycles = interp.pipeline.elapsed();
         result.instructions = interp.pipeline.issued();
         result.idle_cycles = interp.pipeline.idle_cycles();
@@ -846,6 +849,10 @@ struct Interp<'a> {
     parked: usize,
     at_barrier: Vec<bool>,
     op_counts: [u64; OP_COUNT],
+    /// Subroutine entries by [`Subroutine::index`], folded into
+    /// `RunResult::profile` at run end (like `op_counts`, a fixed array,
+    /// so counting a call is one add).
+    sub_counts: SubroutineCounts,
     /// Hardware mutexes: owner per id plus FIFO wait queues, flat arrays
     /// indexed by the 8-bit mutex id — lock/unlock sit on the scheduler
     /// hot path, where hashing would dominate the critical section.
@@ -906,8 +913,8 @@ enum SlotKind {
     /// is accounted to the current batch.
     Advanced,
     /// The instruction needs scheduler or timing machinery (it can change
-    /// the runnable set, stall, burst, or read the clock) or ends a
-    /// window; nothing was executed and no pick was consumed.
+    /// the runnable set, stall, or read the clock) or ends a window;
+    /// nothing was executed and no pick was consumed.
     Boundary,
     /// Inside a window only: the access touched a WRAM word another
     /// tasklet of the chunk touched, one of them storing; the chunk must
@@ -919,9 +926,11 @@ enum SlotKind {
 const MUTEX_IDS: usize = 256;
 
 /// Opcode classes the batched fast paths may dispatch with a *deferred*
-/// pipeline update: ops that always occupy exactly one issue slot and
-/// cannot change the runnable set, stall, start a burst, or observe the
-/// clock. Indexed by [`exec::op_id`]; kept in sync with the dispatch in
+/// pipeline update: ops that occupy one issue slot and cannot change the
+/// runnable set, stall, or observe the clock. A `call` is one of them:
+/// the burst it starts is a run of pure issue slots, which the batches
+/// consume under their slot cap like any other picks. Indexed by
+/// [`exec::op_id`]; kept in sync with the dispatch in
 /// [`Interp::dispatch_inline`] (enforced by a unit test).
 const INLINE_OP: [bool; OP_COUNT] = [
     true,  // nop
@@ -944,7 +953,7 @@ const INLINE_OP: [bool; OP_COUNT] = [
     false, // mram.write
     true,  // branch — control flow is data, not scheduling
     true,  // jump (+ jal, jr)
-    false, // call — starts a subroutine burst
+    true,  // call — one slot, then a burst of schedule-neutral slots
     false, // perf — reads the pipeline clock at its own issue slot
     true,  // me (tasklet id)
     true,  // trace
@@ -1174,11 +1183,12 @@ impl Interp<'_> {
     /// pick, so every issue lands exactly `stages` after the previous one
     /// and the pipeline update for a run of inline instructions is a
     /// closed form. The batch loop dispatches inline instructions (whole
-    /// memoized superblocks at a time where possible) with the pipeline
-    /// untouched, then flushes the accumulated `k` picks as one
-    /// `fast_forward_sole`; boundary instructions flush first and take a
-    /// reference-identical slot. Inline ops cannot change the runnable
-    /// set, so the mode only needs re-checking after a boundary dispatch.
+    /// memoized superblocks at a time where possible) and subroutine
+    /// burst slots with the pipeline untouched, then flushes the
+    /// accumulated `k` picks as one `fast_forward_sole`; boundary
+    /// instructions flush first and take a reference-identical slot.
+    /// Inline ops cannot change the runnable set, so the mode only needs
+    /// re-checking after a boundary dispatch.
     ///
     /// Budget semantics match the reference exactly: after `k` issues the
     /// reference's post-pick check sees `elapsed = first + k*stages`, so
@@ -1190,20 +1200,6 @@ impl Interp<'_> {
         while self.runnable_count == 1 && self.runnable[t] {
             let stages = self.pipeline.stages();
             let first = self.pipeline.next_issue_at(t);
-            let burst = self.threads[t].burst;
-            if burst > 0 {
-                if first.saturating_add(burst * stages) <= self.budget {
-                    self.pipeline.fast_forward_sole(t, burst);
-                    self.threads[t].burst = 0;
-                } else {
-                    self.pipeline.pick_sole(t);
-                    if self.pipeline.elapsed() > self.budget {
-                        return Err(Error::CycleBudgetExceeded { budget: self.budget });
-                    }
-                    self.threads[t].burst -= 1;
-                }
-                continue;
-            }
             let headroom = self.budget.saturating_sub(first);
             if headroom < stages {
                 // The next pick overruns the budget no matter what the
@@ -1221,7 +1217,8 @@ impl Interp<'_> {
             } else {
                 headroom / stages
             };
-            let mut k: u64 = 0;
+            // A burst left by a call before this batch runs first.
+            let mut k = self.take_burst(t, k_cap);
             loop {
                 if k >= k_cap {
                     if k > 0 {
@@ -1248,7 +1245,10 @@ impl Interp<'_> {
                     continue;
                 }
                 match self.dispatch_inline::<false, false>(t) {
-                    Ok(SlotKind::Advanced) => k += 1,
+                    Ok(SlotKind::Advanced) => {
+                        k += 1;
+                        k += self.take_burst(t, k_cap - k);
+                    }
                     Ok(SlotKind::Boundary | SlotKind::Conflict) => {
                         if k > 0 {
                             self.pipeline.fast_forward_sole(t, k);
@@ -1277,8 +1277,8 @@ impl Interp<'_> {
     /// The invariant it rests on: while every issued op is an
     /// [`INLINE_OP`], the dispatcher's pick sequence depends only on
     /// pipeline state, never on what the ops compute — an inline op takes
-    /// one slot, stalls nothing, starts no burst and leaves the runnable
-    /// set alone (burst slots are schedule-neutral too). So the window
+    /// one slot, stalls nothing and leaves the runnable set alone, and the
+    /// burst slots a `call` starts are schedule-neutral too. So the window
     /// first schedules with the [`Pipeline`] alone:
     ///
     /// * the *near* tasklets (ready within `stages` of the clock) must
@@ -1417,15 +1417,15 @@ impl Interp<'_> {
     /// before reaching an op that ends the window (a boundary, a `trace`,
     /// or a store once stores are barred). Tasklets that ran past it are
     /// rewound — register snapshot restored, their own undo-log segment
-    /// replayed backwards, their op-count delta subtracted — and re-run
-    /// up to it.
+    /// replayed backwards, their op-count and subroutine-entry deltas
+    /// subtracted — and re-run up to it.
     ///
     /// Reordering WRAM accesses across tasklets is unobservable unless
     /// two tasklets touch one word and at least one of them stores to
     /// it, so the chunk tags every access in a word-granular map and, on
-    /// such a conflict, discards itself: undo log, registers and op
-    /// counts roll back to the chunk start, and no store is admitted into
-    /// a window for the rest of the run. A fault rolls back the same way;
+    /// such a conflict, discards itself: undo log, registers, op counts
+    /// and subroutine entries roll back to the chunk start, and no store
+    /// is admitted into a window for the rest of the run. A fault rolls back the same way;
     /// the caller's single-slot path then surfaces it at its exact slot.
     /// Either way the undo log covers this chunk only.
     fn window_chunk(&mut self, near: &[usize], cap: u64) -> u64 {
@@ -1451,6 +1451,7 @@ impl Interp<'_> {
         let mut failed = None;
         for &t in near {
             let before = self.op_counts;
+            let calls_start = self.mem.calls.len();
             let chain_before = self.paths.chain_slots;
             let log_start = self.mem.undo.len();
             match self.window_run::<true>(t, cap) {
@@ -1463,6 +1464,7 @@ impl Interp<'_> {
                         ran,
                         log: log_start..self.mem.undo.len(),
                         delta,
+                        calls: calls_start..self.mem.calls.len(),
                         chain_slots: self.paths.chain_slots - chain_before,
                     });
                     cap = cap.min(ran);
@@ -1486,6 +1488,9 @@ impl Interp<'_> {
                 self.threads[t].clone_from(snap);
             }
             self.op_counts = ops_at_start;
+            for &sub in &self.mem.calls {
+                self.sub_counts[sub as usize] -= 1;
+            }
             self.paths.chain_slots = chain_at_start;
             if fault {
                 self.paths.fault_rollbacks += 1;
@@ -1507,6 +1512,9 @@ impl Interp<'_> {
             self.threads[t].clone_from(snap);
             for (o, d) in self.op_counts.iter_mut().zip(&run.delta) {
                 *o -= d;
+            }
+            for &sub in &self.mem.calls[run.calls.clone()] {
+                self.sub_counts[sub as usize] -= 1;
             }
             self.paths.chain_slots -= run.chain_slots;
             // The prefix already ran once without conflict or fault, so
@@ -1530,15 +1538,15 @@ impl Interp<'_> {
         }
     }
 
-    /// Run tasklet `t` alone for up to `cap` window slots: burst slots
-    /// first, then compiled chains, superblocks and single inline ops.
+    /// Run tasklet `t` alone for up to `cap` window slots: burst slots,
+    /// compiled chains, superblocks and single inline ops (a `call` among
+    /// them starts a burst, consumed under the same cap).
     /// Returns the slots retired (fewer than `cap` when the next op ends
     /// the window), `None` on a WRAM conflict, or the fault. `TRACK`
-    /// tags accesses and logs stores; the rewind re-run skips both.
+    /// tags accesses and logs stores and calls; the rewind re-run skips
+    /// all of it.
     fn window_run<const TRACK: bool>(&mut self, t: usize, cap: u64) -> Result<Option<u64>> {
-        let burst = self.threads[t].burst.min(cap);
-        self.threads[t].burst -= burst;
-        let mut k = burst;
+        let mut k = self.take_burst(t, cap);
         while k < cap {
             let pc = self.threads[t].pc as usize;
             if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc)) {
@@ -1566,12 +1574,28 @@ impl Interp<'_> {
                 continue;
             }
             match self.dispatch_inline::<true, TRACK>(t)? {
-                SlotKind::Advanced => k += 1,
+                SlotKind::Advanced => {
+                    k += 1;
+                    k += self.take_burst(t, cap - k);
+                }
                 SlotKind::Boundary => break,
                 SlotKind::Conflict => return Ok(None),
             }
         }
         Ok(Some(k))
+    }
+
+    /// Consume up to `room` slots of tasklet `t`'s subroutine burst (the
+    /// slots a batch reserves for them, like any other picks); returns
+    /// the slots taken. A burst the room cuts short stays on the tasklet.
+    /// Only a `call` starts a burst, so the batches ask right after the
+    /// per-op dispatch and at their start, never on the chain and
+    /// superblock paths.
+    fn take_burst(&mut self, t: usize, room: u64) -> u64 {
+        let th = &mut self.threads[t];
+        let n = th.burst.min(room);
+        th.burst -= n;
+        n
     }
 
     /// Replay `len` superblock instructions at `pc` for every tasklet in
@@ -1606,8 +1630,9 @@ impl Interp<'_> {
 
     /// Dispatch the instruction at `pc0` once for every tasklet in `order`
     /// — all of them sit at that pc — from a single fetch and classify.
-    /// Returns false (no state touched) for instructions that can fault or
-    /// leave the inline class; the caller falls back to per-slot dispatch.
+    /// Returns false (no state touched) for instructions that can fault,
+    /// start a burst, or leave the inline class; the caller falls back to
+    /// per-slot dispatch.
     fn dispatch_round_uniform(&mut self, order: &[usize], pc0: u32) -> bool {
         let Some(&ExecInstr { instr, op }) = self.code.get(pc0 as usize) else {
             return false;
@@ -1620,7 +1645,7 @@ impl Interp<'_> {
                     th.pc = pc0.wrapping_add(1);
                 }
             }
-            Instr::Load { .. } | Instr::Store { .. } => return false,
+            Instr::Load { .. } | Instr::Store { .. } | Instr::CallSub { .. } => return false,
             _ if INLINE_OP[op as usize] => {
                 for &t in order {
                     apply_reg_op(&mut self.threads[t], t, &instr);
@@ -1636,16 +1661,18 @@ impl Interp<'_> {
     /// pipeline*, for the batched fast paths: the caller has reserved the
     /// issue slot and will flush the pipeline update for the whole batch.
     /// Only [`INLINE_OP`] classes execute; anything else returns
-    /// [`SlotKind::Boundary`] untouched. A fault (bad load/store address)
-    /// leaves pc on the faulting instruction with its op counted, exactly
-    /// like [`Interp::step`].
+    /// [`SlotKind::Boundary`] untouched. A `call` leaves its burst on the
+    /// tasklet for the caller to consume. A fault (bad load/store address,
+    /// zero divisor) leaves pc on the faulting instruction with its op
+    /// counted, exactly like [`Interp::step`].
     ///
     /// `WINDOW` gives window semantics: `trace` is a boundary (its log
     /// order is the schedule's, which tasklet-major execution does not
     /// follow), so is a store once stores are barred, and with `TRACK`
     /// every WRAM access is tagged — a conflict returns
-    /// [`SlotKind::Conflict`] with the access undone — and every store
-    /// logged for undo.
+    /// [`SlotKind::Conflict`] with the access undone — every store
+    /// logged for undo, and every call logged so a discard or a rewind
+    /// can take its entry back out.
     fn dispatch_inline<const WINDOW: bool, const TRACK: bool>(
         &mut self,
         t: usize,
@@ -1686,6 +1713,15 @@ impl Interp<'_> {
                 wram_write(&mut self.machine.wram, width, addr, th.get(rs))?;
             }
             Instr::Trace { ra } => self.result.trace.push((t, th.get(ra))),
+            Instr::CallSub { sub, rd, ra, rb } => {
+                if !enter_sub(th, sub, rd, ra, rb) {
+                    return Err(Error::DivisionByZero { pc });
+                }
+                self.sub_counts[sub.index()] += 1;
+                if TRACK {
+                    self.mem.calls.push(sub.index() as u8);
+                }
+            }
             _ => {
                 apply_reg_op(th, t, &instr);
                 return Ok(SlotKind::Advanced);
@@ -1747,8 +1783,10 @@ impl Interp<'_> {
     ///   the per-slot path then surfaces the fault, conflict or window
     ///   boundary at its exact slot;
     /// * when a link exits compiled code (a deopt: cold block, boundary
-    ///   op, mid-block `jr` target, or end of IRAM — the out-of-range pc
-    ///   then faults at the next fetch exactly like the reference).
+    ///   op, `call` (the batch that dispatched the chain runs the call
+    ///   and its burst), mid-block `jr` target, or end of IRAM — the
+    ///   out-of-range pc then faults at the next fetch exactly like the
+    ///   reference).
     ///
     /// Between accesses, compiled bodies touch only the private register
     /// file, are deterministic and cannot observe scheduling, so the
@@ -2081,18 +2119,10 @@ impl Interp<'_> {
             }
             Instr::Jr { ra } => next_pc = th.get(ra),
             Instr::CallSub { sub, rd, ra, rb } => {
-                let a = th.get(ra);
-                let b = th.get(rb);
-                if matches!(
-                    sub,
-                    crate::subroutines::Subroutine::Divsi3 | crate::subroutines::Subroutine::Modsi3
-                ) && b == 0
-                {
+                if !enter_sub(th, sub, rd, ra, rb) {
                     return Err(Error::DivisionByZero { pc });
                 }
-                th.set(rd, sub.eval(a, b));
-                th.burst = sub.instruction_count().saturating_sub(1);
-                self.result.profile.record(sub);
+                self.sub_counts[sub.index()] += 1;
                 if self.sink.is_enabled() {
                     self.sink.record(TraceEvent::SubroutineEnter {
                         tasklet: t as u8,
@@ -2278,6 +2308,20 @@ fn apply_reg_op(th: &mut Tasklet, t: usize, instr: &Instr) {
     };
 }
 
+/// Enter subroutine `sub` for `th`: `rd <- sub(ra, rb)`, and the rest of
+/// the routine's issue slots become the tasklet's burst. False, with
+/// nothing changed, when the divisor is zero (the caller raises
+/// [`Error::DivisionByZero`]).
+fn enter_sub(th: &mut Tasklet, sub: Subroutine, rd: Reg, ra: Reg, rb: Reg) -> bool {
+    let b = th.get(rb);
+    if sub.divides_by_zero(b) {
+        return false;
+    }
+    th.set(rd, sub.eval(th.get(ra), b));
+    th.burst = sub.instruction_count().saturating_sub(1);
+    true
+}
+
 /// A WRAM load of `width` at `addr`, zero-extended.
 fn wram_read(wram: &Wram, width: Width, addr: usize) -> Result<u32> {
     match width {
@@ -2318,7 +2362,8 @@ const TAG_SHARED: u8 = 0x20;
 const TAG_STORED: u8 = 0x40;
 const TAG_LIVE: u8 = 0x80;
 
-/// Word-granular WRAM access tags and the undo log of one window chunk.
+/// Word-granular WRAM access tags, the undo log and the call log of one
+/// window chunk.
 ///
 /// Only the words a chunk touched carry a tag, and [`WindowMemory::end`]
 /// clears exactly those, so the map stays one byte per WRAM word and a
@@ -2330,6 +2375,9 @@ struct WindowMemory {
     tags: Vec<u8>,
     touched: Vec<u32>,
     undo: Vec<Undo>,
+    /// The subroutines entered in the chunk, by [`Subroutine::index`],
+    /// so a discard or a rewind can take their entries back out.
+    calls: Vec<u8>,
 }
 
 impl WindowMemory {
@@ -2339,6 +2387,7 @@ impl WindowMemory {
             self.tags.resize(words, 0);
         }
         self.undo.clear();
+        self.calls.clear();
     }
 
     /// End the chunk: untag every word it touched.
@@ -2398,6 +2447,8 @@ struct TaskletRun {
     log: std::ops::Range<usize>,
     /// Its op-count contribution.
     delta: [u64; OP_COUNT],
+    /// Its segment of the chunk's call log.
+    calls: std::ops::Range<usize>,
     /// Its contribution to [`EnginePaths::chain_slots`].
     chain_slots: u64,
 }
@@ -2440,7 +2491,6 @@ fn pipeline_issue_cycle(p: &Pipeline) -> u64 {
 mod tests {
     use super::*;
     use crate::isa::{Cond, Instr as I, Reg};
-    use crate::subroutines::Subroutine;
 
     fn r(i: u8) -> Reg {
         Reg(i)
@@ -2497,6 +2547,7 @@ mod tests {
                         | I::Jal { .. }
                         | I::Jr { .. }
                         | I::Trace { .. }
+                        | I::CallSub { .. }
                 );
             assert_eq!(
                 INLINE_OP[exec::op_id(instr) as usize],

@@ -22,6 +22,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
+/// Entries per routine, indexed by [`Subroutine::index`]: the fixed-size
+/// form the interpreter counts in while a run executes, folded into a
+/// [`Profiler`] once at run end ([`Profiler::record_counts`]).
+pub type SubroutineCounts = [u64; Subroutine::ALL.len()];
+
 /// Occurrence counts per runtime subroutine for one program run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profiler {
@@ -43,6 +48,20 @@ impl Profiler {
         self.total_calls += 1;
         if sub.is_float() {
             self.float_calls += 1;
+        }
+    }
+
+    /// Record `counts[i]` entries into `Subroutine::ALL[i]` for every
+    /// routine (the same totals as that many [`Profiler::record`] calls).
+    pub fn record_counts(&mut self, counts: &SubroutineCounts) {
+        for (&sub, &n) in Subroutine::ALL.iter().zip(counts) {
+            if n > 0 {
+                *self.counts.entry(sub.symbol()).or_insert(0) += n;
+                self.total_calls += n;
+                if sub.is_float() {
+                    self.float_calls += n;
+                }
+            }
         }
     }
 
@@ -401,6 +420,21 @@ mod tests {
         p.record(Subroutine::Mulsi3Short);
         assert_eq!(p.occurrences(Subroutine::Mulsi3), 2);
         assert_eq!(p.distinct_subroutines(), 1);
+    }
+
+    #[test]
+    fn record_counts_equals_one_record_per_entry() {
+        let mut counts: SubroutineCounts = [0; Subroutine::ALL.len()];
+        let mut expected = Profiler::new();
+        for (i, sub) in Subroutine::ALL.iter().enumerate() {
+            counts[sub.index()] = (i % 3) as u64;
+            for _ in 0..i % 3 {
+                expected.record(*sub);
+            }
+        }
+        let mut p = Profiler::new();
+        p.record_counts(&counts);
+        assert_eq!(p, expected);
     }
 
     #[test]

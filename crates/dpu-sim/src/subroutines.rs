@@ -112,6 +112,21 @@ impl Subroutine {
         Subroutine::Extendsfdf2,
     ];
 
+    /// Position of the routine in [`Subroutine::ALL`]: the index of the
+    /// fixed-size per-routine counters the interpreter keeps
+    /// ([`crate::profiler::SubroutineCounts`]).
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// True when entering the routine with divisor `b` raises
+    /// [`crate::Error::DivisionByZero`] (the integer division routines).
+    #[must_use]
+    pub(crate) fn divides_by_zero(self, b: u32) -> bool {
+        matches!(self, Subroutine::Divsi3 | Subroutine::Modsi3) && b == 0
+    }
+
     /// The linker-level name of the routine as it appears in profiling
     /// output on real hardware.
     #[must_use]
@@ -303,6 +318,22 @@ mod tests {
         assert!(
             Subroutine::Mulsi3Short.instruction_count() < Subroutine::Mulsi3.instruction_count()
         );
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, sub) in Subroutine::ALL.iter().enumerate() {
+            assert_eq!(sub.index(), i, "{sub:?}");
+        }
+    }
+
+    #[test]
+    fn only_integer_division_faults_on_a_zero_divisor() {
+        for sub in Subroutine::ALL {
+            let division = matches!(sub, Subroutine::Divsi3 | Subroutine::Modsi3);
+            assert_eq!(sub.divides_by_zero(0), division, "{sub:?}");
+            assert!(!sub.divides_by_zero(3), "{sub:?}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use dpu_sim::exec::ExecProgram;
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
+use dpu_sim::subroutines::Subroutine;
 use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
 use proptest::prelude::*;
 
@@ -52,9 +53,23 @@ fn assert_compiled_matches_reference(
     reference
 }
 
+/// Subroutines for random `call`s between compiled blocks: `__mulsi3`,
+/// the division routines (their divisor register is often zero, so the
+/// batch around the chains must raise `DivisionByZero` at its exact
+/// slot) and one float routine.
+fn sub() -> impl Strategy<Value = Subroutine> {
+    prop_oneof![
+        Just(Subroutine::Mulsi3),
+        Just(Subroutine::Divsi3),
+        Just(Subroutine::Modsi3),
+        Just(Subroutine::Addsf3),
+    ]
+}
+
 /// Instruction mix biased toward compilable ALU runs with register-visible
 /// effects (`trace` emits register values into the RunResult, stores pin
-/// them into WRAM) plus the control flow, sync and DMA that force deopts.
+/// them into WRAM), subroutine calls, plus the control flow, sync and DMA
+/// that force deopts.
 fn instr_strategy(len: u32) -> impl Strategy<Value = Instr> {
     let reg = || (0u8..8).prop_map(Reg);
     prop_oneof![
@@ -88,6 +103,12 @@ fn instr_strategy(len: u32) -> impl Strategy<Value = Instr> {
         }),
         (0u32..len).prop_map(|target| Instr::Jump { target }),
         (reg(), 0u32..len).prop_map(|(rd, target)| Instr::Jal { rd, target }),
+        (sub(), reg(), reg(), reg()).prop_map(|(sub, rd, ra, rb)| Instr::CallSub {
+            sub,
+            rd,
+            ra,
+            rb
+        }),
         reg().prop_map(|ra| Instr::Trace { ra }),
         Just(Instr::Barrier),
         (0u8..2).prop_map(|id| Instr::MutexLock { id }),

@@ -9,6 +9,7 @@
 
 use dpu_sim::exec::{is_superblock_op, ExecProgram};
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
+use dpu_sim::subroutines::Subroutine;
 use dpu_sim::{Engine, Machine, RunResult};
 use proptest::prelude::*;
 
@@ -61,9 +62,21 @@ fn assert_engines_agree(
     reference
 }
 
+/// Subroutines for random `call`s: `__mulsi3`, the division routines
+/// (whose divisor register is often zero, so `DivisionByZero` surfaces
+/// from every path) and one float routine.
+fn sub() -> impl Strategy<Value = Subroutine> {
+    prop_oneof![
+        Just(Subroutine::Mulsi3),
+        Just(Subroutine::Divsi3),
+        Just(Subroutine::Modsi3),
+        Just(Subroutine::Addsf3),
+    ]
+}
+
 /// A strategy over instructions, weighted toward superblock ALU runs with
-/// enough control flow, memory traffic, sync and DMA mixed in to exercise
-/// every fast-path bailout. Branch targets land in `0..len` (valid) so
+/// enough control flow, memory traffic, subroutine calls, sync and DMA
+/// mixed in to exercise every fast-path bailout. Branch targets land in `0..len` (valid) so
 /// random programs loop and re-enter blocks mid-way.
 fn instr_strategy(len: u32) -> impl Strategy<Value = Instr> {
     let reg = || (0u8..8).prop_map(Reg);
@@ -99,6 +112,12 @@ fn instr_strategy(len: u32) -> impl Strategy<Value = Instr> {
         }),
         (0u32..len).prop_map(|target| Instr::Jump { target }),
         (reg(), 0u32..len).prop_map(|(rd, target)| Instr::Jal { rd, target }),
+        (sub(), reg(), reg(), reg()).prop_map(|(sub, rd, ra, rb)| Instr::CallSub {
+            sub,
+            rd,
+            ra,
+            rb
+        }),
         reg().prop_map(|ra| Instr::Trace { ra }),
         Just(Instr::Barrier),
         (0u8..2).prop_map(|id| Instr::MutexLock { id }),
@@ -233,7 +252,6 @@ fn sync_heavy_16_tasklets_matches_reference() {
 /// a burst must surface at the identical pick on both engines.
 #[test]
 fn subroutine_bursts_and_budget_exhaustion_match_reference() {
-    use dpu_sim::subroutines::Subroutine;
     let program = Program::new(vec![
         Instr::Movi { rd: Reg(1), imm: 1000 },
         Instr::Movi { rd: Reg(2), imm: 37 },

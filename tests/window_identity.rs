@@ -8,10 +8,12 @@
 use dpu_sim::asm::assemble;
 use dpu_sim::exec::ExecProgram;
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
+use dpu_sim::subroutines::Subroutine;
 use dpu_sim::{DpuId, Engine, EnginePaths, Machine, RunResult};
 use ebnn::codegen::{encode_slot, Tier1Engine};
 use ebnn::{EbnnModel, ModelConfig};
 use proptest::prelude::*;
+use yolo_pim::codegen::RowEngine;
 
 const FAST_TIERS: [Engine; 2] = [Engine::Superblock, Engine::Compiled];
 
@@ -77,6 +79,47 @@ fn ebnn_kernel_matches_reference_at_every_image_count() {
                 );
             }
         }
+    }
+}
+
+/// The YOLO row GEMM kernel in `yolo_row_serve`'s shape (n = 64, k = 32,
+/// 8 tasklets), staged on one DPU with one `A` row the way the serving
+/// engine stages a batch.
+fn staged_yolo_row() -> (Machine, ExecProgram) {
+    let dims = yolo_pim::GemmDims { m: 0, n: 64, k: 32 };
+    let value = |i: usize| ((i * 37) % 251) as i16 - 125;
+    let b: Vec<i16> = (0..dims.k * dims.n).map(value).collect();
+    let a: Vec<i16> = (0..dims.k).map(|i| value(i * 7 + 3)).collect();
+    let mut engine = RowEngine::new(dims, 3, &b, 1, 8).expect("engine builds");
+    engine.stage(&a).expect("stages");
+    let set = engine.set();
+    let exec = ExecProgram::compile(set.loaded_program().expect("loaded")).expect("compiles");
+    (set.system().dpu(DpuId(0)).clone(), exec)
+}
+
+/// The YOLO kernel makes three `__mulsi3` calls and one DMA per
+/// multiply-accumulate. Calls run inside windows and sole batches, so
+/// only the DMA and barrier slots (and the rounds around them where no
+/// period forms) are left to the single-slot path: under 3 % of the
+/// slots (5.5 % here while every call ended a window).
+#[test]
+fn yolo_row_kernel_runs_its_calls_inside_windows() {
+    let (machine, exec) = staged_yolo_row();
+    for engine in FAST_TIERS {
+        let (paths, reference) =
+            assert_tier_matches_reference(&machine, &exec, 8, u64::MAX, engine, "YOLO row");
+        let reference = reference.expect("kernel completes");
+        assert_eq!(reference.profile.occurrences(Subroutine::Mulsi3), 3 * 64 * 32);
+        // Neighbouring columns' `C` halfwords share a WRAM word, so the
+        // first chunk holding two of their stores conflicts once.
+        assert!(paths.conflicts <= 1 && paths.fault_rollbacks == 0, "{paths:?}");
+        assert!(
+            paths.single_slots * 100 < reference.instructions * 3,
+            "YOLO row on {}: single slots {} of {} instructions: {paths:?}",
+            engine.name(),
+            paths.single_slots,
+            reference.instructions
+        );
     }
 }
 
@@ -309,14 +352,22 @@ fn overrunning_tasklets_rewind_their_own_stores() {
     }
 }
 
-/// Window-friendly loop bodies: ALU ops plus loads and stores of every
+/// Window-friendly loop bodies: ALU ops, loads and stores of every
 /// width, based either on `r0` (words every tasklet shares) or on `r7`
 /// (the tasklet's private stripe), so windows form with and without
-/// cross-tasklet conflicts.
+/// cross-tasklet conflicts, and subroutine calls whose bursts cross
+/// chunk caps — the division routines sometimes with a zero divisor
+/// (registers start at zero, and `r1` holds the tasklet id).
 fn body_op() -> impl Strategy<Value = Instr> {
     let reg = || (1u8..7).prop_map(Reg);
     let base = || prop_oneof![Just(Reg(0)), Just(Reg(7))];
     let width = || prop_oneof![Just(Width::B), Just(Width::H), Just(Width::W)];
+    let sub = prop_oneof![
+        Just(Subroutine::Mulsi3),
+        Just(Subroutine::Divsi3),
+        Just(Subroutine::Modsi3),
+        Just(Subroutine::Addsf3),
+    ];
     prop_oneof![
         (reg(), reg(), reg()).prop_map(|(rd, ra, rb)| Instr::Add { rd, ra, rb }),
         (reg(), reg(), -9i32..9).prop_map(|(rd, ra, imm)| Instr::Addi { rd, ra, imm }),
@@ -334,6 +385,7 @@ fn body_op() -> impl Strategy<Value = Instr> {
             off: 0x100 + off * 2,
             rs,
         }),
+        (sub, reg(), reg(), reg()).prop_map(|(sub, rd, ra, rb)| Instr::CallSub { sub, rd, ra, rb }),
     ]
 }
 
@@ -608,5 +660,209 @@ fn store_reached_by_a_lockstep_chain_matches_reference() {
             assert_eq!(paths.conflicts, 1, "{label}: {paths:?}");
         }
         assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+    }
+}
+
+/// Tasklets with uneven trip counts around a `__mulsf3` call, whose
+/// 205-slot burst is longer than a window's first 64-round chunk, and a
+/// private read-modify-write. Bursts cross chunk caps, and when a
+/// tasklet halts inside a chunk, the tasklets that ran past that round
+/// (the low ids, which run first and loop longest) are rewound to a slot
+/// inside a burst: their burst, stores and subroutine counts must come
+/// back with them.
+#[test]
+fn bursts_cross_chunk_caps_and_rewind_mid_burst() {
+    let program = assemble(
+        "me r1\n\
+         lsli r7, r1, 2\n\
+         movi r8, 3\n\
+         and r8, r1, r8\n\
+         movi r9, 6\n\
+         sub r8, r9, r8\n\
+         movi r4, 0x3fc00000\n\
+         loop: lw r2, r7, 0x200\n\
+         call __mulsf3 r3, r4, r4\n\
+         addi r2, r2, 1\n\
+         sw r7, 0x200, r2\n\
+         call __mulsi3 r5, r2, r8\n\
+         add r6, r6, r5\n\
+         addi r8, r8, -1\n\
+         bne r8, r0, loop\n\
+         sw r7, 0x300, r6\n\
+         halt\n",
+    )
+    .unwrap();
+    let exec = ExecProgram::compile(&program).unwrap();
+    let start = Machine::default();
+    for tasklets in [2usize, 5, 11, 16] {
+        let label = format!("{tasklets} tasklets, bursts across chunks");
+        let (superblock, compiled, reference) =
+            both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+        let reference = reference.expect("completes");
+        let calls = reference.profile.occurrences(Subroutine::Mulsf3);
+        assert_eq!(calls, (0..tasklets as u64).map(|t| 6 - (t & 3)).sum::<u64>(), "{label}");
+        for paths in [superblock, compiled] {
+            assert!(paths.window_slots * 2 > reference.instructions, "{label}: {paths:?}");
+            assert_eq!(paths.conflicts + paths.fault_rollbacks, 0, "{label}: {paths:?}");
+        }
+        assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+    }
+}
+
+/// A loop whose `__divsi3` divisor counts down to zero in tasklet
+/// `faulting` only (it starts at 37 there and far above the trip count
+/// elsewhere). The call follows a load and an ALU op of the loop's
+/// compiled block, so on the compiled tier a chain runs up to it and
+/// parks there; either way the window chunk (or sole batch) dispatches
+/// it. With `trips` < 38 nothing divides by zero.
+fn dividing_loop(faulting: u32, trips: u32) -> ExecProgram {
+    let source = format!(
+        "me r1\n\
+         movi r2, {trips}\n\
+         lsli r7, r1, 2\n\
+         movi r9, 1000\n\
+         movi r6, {faulting}\n\
+         bne r1, r6, loop\n\
+         movi r9, 37\n\
+         loop: lw r4, r7, 0x100\n\
+         addi r4, r4, 7\n\
+         call __divsi3 r5, r4, r9\n\
+         add r10, r10, r5\n\
+         sw r7, 0x300, r10\n\
+         call __modsi3 r11, r10, r2\n\
+         xor r12, r12, r11\n\
+         addi r9, r9, -1\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, loop\n\
+         sw r7, 0x400, r12\n\
+         halt\n"
+    );
+    ExecProgram::compile(&assemble(&source).unwrap()).unwrap()
+}
+
+/// `__divsi3` by zero first reached inside a window chunk, right after a
+/// compiled chain (compiled tier) and in a sole batch: the chunk rolls
+/// back and the error surfaces at the reference's slot with the
+/// reference's memory image.
+#[test]
+fn division_by_zero_surfaces_at_its_exact_slot() {
+    let mut start = Machine::default();
+    for i in 0..16u32 {
+        start.wram.write_u32(0x100 + 4 * i as usize, 1000 + i * 77).unwrap();
+    }
+    for (tasklets, faulting) in [(1usize, 0u32), (6, 5), (11, 5), (16, 5)] {
+        let exec = dividing_loop(faulting, 60);
+        let label = format!("{tasklets} tasklets, tasklet {faulting} divides by zero");
+        let (_, _, reference) = both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+        assert!(
+            matches!(reference, Err(dpu_sim::Error::DivisionByZero { .. })),
+            "{label}: {reference:?}"
+        );
+    }
+}
+
+/// Cycle budgets running out in the middle of subroutine bursts: in sole
+/// mode and in window chunks, between compiled chains on the compiled
+/// tier, densely over the first slots and then sparsely to the end.
+#[test]
+fn budget_running_out_mid_burst_matches_reference() {
+    let mut start = Machine::default();
+    for i in 0..16u32 {
+        start.wram.write_u32(0x100 + 4 * i as usize, 1000 + i * 77).unwrap();
+    }
+    let exec = dividing_loop(99, 12);
+    for tasklets in [1usize, 3, 12] {
+        let label = format!("{tasklets} tasklets");
+        let (superblock, compiled, full) = both_tiers(&start, &exec, tasklets, u64::MAX, &label);
+        let full = full.expect("completes");
+        assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+        if tasklets > 1 {
+            assert!(superblock.window_slots * 2 > full.instructions, "{label}: {superblock:?}");
+        }
+        let dense = 0..600;
+        let sparse = (600..full.cycles + 12).step_by(53);
+        for budget in dense.chain(sparse) {
+            let _ =
+                both_tiers(&start, &exec, tasklets, budget, &format!("{label}, budget {budget}"));
+        }
+    }
+}
+
+/// Tasklets with identical register files reach calls together: the
+/// window's lockstep prefix (replicated chains on the compiled tier) runs
+/// up to a `call`, which it leaves to the tasklet-major chunks. With
+/// `zero_at` inside the trip count every tasklet's `__divsi3` divisor
+/// reaches zero in the same round.
+#[test]
+fn lockstep_prefix_reaching_a_call_matches_reference() {
+    for zero_at in [25u32, 1000] {
+        let source = format!(
+            "movi r2, 40\n\
+             movi r9, {zero_at}\n\
+             loop: addi r3, r3, 1\n\
+             xor r7, r7, r3\n\
+             call __mulsi3 r4, r3, r2\n\
+             xor r5, r5, r4\n\
+             call __divsi3 r6, r5, r9\n\
+             add r5, r5, r6\n\
+             addi r9, r9, -1\n\
+             addi r2, r2, -1\n\
+             bne r2, r0, loop\n\
+             trace r5\n\
+             halt\n"
+        );
+        let exec = ExecProgram::compile(&assemble(&source).unwrap()).unwrap();
+        for tasklets in [2usize, 6, 16] {
+            let label = format!("{tasklets} identical tasklets, divisor zero at {zero_at}");
+            let (superblock, compiled, reference) =
+                both_tiers(&Machine::default(), &exec, tasklets, u64::MAX, &label);
+            if zero_at < 40 {
+                assert!(
+                    matches!(reference, Err(dpu_sim::Error::DivisionByZero { .. })),
+                    "{label}: {reference:?}"
+                );
+                continue;
+            }
+            let reference = reference.expect("completes");
+            assert_eq!(reference.trace.len(), tasklets, "{label}");
+            assert!(
+                superblock.window_slots * 2 > reference.instructions,
+                "{label}: {superblock:?}"
+            );
+            assert!(compiled.chain_slots > 0, "{label}: {compiled:?}");
+        }
+    }
+}
+
+/// A racy shared counter with a subroutine call in the loop: the first
+/// conflicting chunk is discarded, and the calls its tasklets entered
+/// must leave the subroutine profile with it.
+#[test]
+fn subroutine_profile_survives_a_conflict_discard() {
+    let program = assemble(
+        "me r1\n\
+         movi r2, 40\n\
+         race: lw r3, r0, 0x40\n\
+         call __mulsi3 r4, r3, r2\n\
+         add r5, r5, r4\n\
+         addi r3, r3, 1\n\
+         sw r0, 0x40, r3\n\
+         addi r2, r2, -1\n\
+         bne r2, r0, race\n\
+         lsli r7, r1, 2\n\
+         sw r7, 0x100, r5\n\
+         halt\n",
+    )
+    .unwrap();
+    let exec = ExecProgram::compile(&program).unwrap();
+    for tasklets in [2usize, 7, 16] {
+        let label = format!("{tasklets} tasklets, calls in a racy loop");
+        let (superblock, compiled, reference) =
+            both_tiers(&Machine::default(), &exec, tasklets, u64::MAX, &label);
+        let reference = reference.expect("completes");
+        assert_eq!(reference.profile.occurrences(Subroutine::Mulsi3), 40 * tasklets as u64);
+        for paths in [superblock, compiled] {
+            assert_eq!(paths.conflicts, 1, "{label}: {paths:?}");
+        }
     }
 }
